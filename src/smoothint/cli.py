@@ -20,6 +20,7 @@ import argparse
 import itertools
 import json
 import math
+import re
 import sys
 
 from .bumps import Sigmoid
@@ -41,6 +42,25 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NOT_FOUND = 4
+
+# argparse counts only plain forms such as "-5" and "-.5" as negative
+# numbers; any other token starting with "-", such as "-8.5e-05" or
+# "-1:2", is read as an option and leaves the option before it without a
+# value.  No option of this CLI starts with a digit, so such a token is
+# always a value, and _bind_negative_values attaches it to that option.
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+_LONG_OPTION = re.compile(r"--[a-z][a-z-]*")
+
+
+def _bind_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--opt -<digit>...`` as ``--opt=-<digit>...``."""
+    bound: list[str] = []
+    for token in argv:
+        if bound and _NEGATIVE_VALUE.match(token) and _LONG_OPTION.fullmatch(bound[-1]):
+            bound[-1] += "=" + token
+        else:
+            bound.append(token)
+    return bound
 
 
 def _positive_float(text: str) -> float:
@@ -315,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_negative_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

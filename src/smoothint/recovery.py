@@ -6,17 +6,23 @@ when several rows fit:
 * threshold: first table row whose integral magnitude drops below epsilon,
   the pure "how deep is the cancellation" reading.
 * table scan / table binary: first row whose value lies within epsilon of an
-  observed target, by linear scan or by a parity-split binary search that
-  exploits the alternating sign pattern.
+  observed target.  The two differ only in their method tag and in how a
+  table that does not alternate is reported.
 * spline: continuous inversion of the tabulated map.
 * analytic local: exact inversion of one linear segment of the fractional
   map.
+
+On tables whose signs alternate under a shrinking magnitude envelope, the
+threshold and table searches all bisect the two monotone parity classes,
+O(log n); other tables are scanned, O(n).  Every path answers exactly as
+the scan would.
 
 A failed search returns ``None``; it is an expected outcome, not an error.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -92,6 +98,49 @@ def _check_target(target: float) -> float:
     return target
 
 
+def _first_within(table: IntegralTable, target: float, epsilon: float) -> int | None:
+    """Index of the first row with abs(value - target) < epsilon, or None.
+
+    On a ``supports_binary`` table the rows of each parity class share a
+    sign and shrink in magnitude, so the negative class ascends toward zero
+    and the positive class descends toward it.  Rounding is monotone, so the
+    float gap fl(value - target) rises along the negative class and
+    fl(target - value), which is exactly its negation, rises along the
+    positive one; the class's qualifying rows therefore form one run, and
+    its start is one bisection of the strided view away: O(log n), no copy.
+    The test is the scan's own ``abs(gap) < epsilon`` at every probed row,
+    so the answer is the scan's bit for bit.  Other tables are scanned.
+    """
+    values = table.values
+    if not table.supports_binary:
+        hits = np.flatnonzero(np.abs(values - target) < epsilon)
+        return int(hits[0]) if hits.size else None
+    firsts = []
+    for start in (0, 1):
+        rows = values[start::2]
+        if rows.size == 0:
+            continue
+        gap = (lambda v: v - target) if rows[0] < 0.0 else (lambda v: target - v)
+        j = bisect.bisect_right(rows, -epsilon, key=gap)
+        if j < rows.size and gap(rows[j]) < epsilon:
+            firsts.append(start + 2 * j)
+    return min(firsts, default=None)
+
+
+def _row_result(
+    table: IntegralTable, i: int | None, target: float, epsilon: float, method: RecoveryMethod
+) -> RecoveryResult | None:
+    if i is None:
+        return None
+    residual = float(abs(table.values[i] - target))
+    return RecoveryResult(
+        n=int(table.ns[i]),
+        residual=residual,
+        method=method,
+        stable=bool(residual < epsilon / 2.0),
+    )
+
+
 def recover_threshold(
     table: IntegralTable, epsilon: float, require_local_min: bool = False
 ) -> RecoveryResult | None:
@@ -102,46 +151,41 @@ def recover_threshold(
     default: on tables whose magnitude envelope decreases monotonically,
     every interior row is beaten by its successor and only the last row
     could ever qualify.
+
+    Cost: O(log n) on ``supports_binary`` tables, where the plain search is
+    the parity-class bisection of :func:`recover_binary` aimed at zero;
+    O(n) on other tables and whenever ``require_local_min`` is set.
     """
     epsilon = _check_epsilon(epsilon)
+    if not require_local_min:
+        return _row_result(
+            table, _first_within(table, 0.0, epsilon), 0.0, epsilon, RecoveryMethod.THRESHOLD
+        )
     magnitudes = np.abs(table.values)
     hits = magnitudes < epsilon
-    if require_local_min:
-        ok_left = np.ones(table.n_max, dtype=bool)
-        ok_right = np.ones(table.n_max, dtype=bool)
-        ok_left[1:] = magnitudes[1:] <= magnitudes[:-1]
-        ok_right[:-1] = magnitudes[:-1] <= magnitudes[1:]
-        hits &= ok_left & ok_right
-    indices = np.flatnonzero(hits)
-    if indices.size == 0:
-        return None
-    i = int(indices[0])
-    residual = float(magnitudes[i])
-    return RecoveryResult(
-        n=int(table.ns[i]),
-        residual=residual,
-        method=RecoveryMethod.THRESHOLD,
-        stable=bool(residual < epsilon / 2.0),
-    )
+    ok_left = np.ones(table.n_max, dtype=bool)
+    ok_right = np.ones(table.n_max, dtype=bool)
+    ok_left[1:] = magnitudes[1:] <= magnitudes[:-1]
+    ok_right[:-1] = magnitudes[:-1] <= magnitudes[1:]
+    indices = np.flatnonzero(hits & ok_left & ok_right)
+    i = int(indices[0]) if indices.size else None
+    return _row_result(table, i, 0.0, epsilon, RecoveryMethod.THRESHOLD)
 
 
 def recover_match(
     table: IntegralTable, target: float, epsilon: float
 ) -> RecoveryResult | None:
-    """Smallest tabulated N with |I(N) - target| < epsilon, or None."""
+    """Smallest tabulated N with |I(N) - target| < epsilon, or None.
+
+    Cost: O(log n) on ``supports_binary`` tables, through the same
+    parity-class bisection as :func:`recover_binary`; a linear scan, O(n),
+    on other tables.  Either way the result is the scan's, and the method
+    tag is table-scan.
+    """
     target = _check_target(target)
     epsilon = _check_epsilon(epsilon)
-    residuals = np.abs(table.values - target)
-    indices = np.flatnonzero(residuals < epsilon)
-    if indices.size == 0:
-        return None
-    i = int(indices[0])
-    residual = float(residuals[i])
-    return RecoveryResult(
-        n=int(table.ns[i]),
-        residual=residual,
-        method=RecoveryMethod.TABLE_SCAN,
-        stable=bool(residual < epsilon / 2.0),
+    return _row_result(
+        table, _first_within(table, target, epsilon), target, epsilon, RecoveryMethod.TABLE_SCAN
     )
 
 
@@ -150,46 +194,24 @@ def recover_binary(
 ) -> RecoveryResult | None:
     """Same answer as :func:`recover_match`, in logarithmic time.
 
-    Splitting the rows by sign gives two monotone sequences (negative rows
-    ascend toward zero, positive rows descend toward zero), and within each
-    the rows matching the target form one contiguous run, so the earliest
-    match per sign class is a binary search away.  The overall answer is
-    the earlier of the two class results.
+    On a table that alternates in sign under a shrinking magnitude envelope
+    (``supports_binary``) the parity classes are the sign classes, and each
+    is monotone (negative rows ascend toward zero, positive rows descend
+    toward zero).  Within each, the rows matching the target form one
+    contiguous run, so the earliest match per class is one bisection of the
+    strided view ``values[0::2]`` or ``values[1::2]`` away, O(log n) with no
+    copy.  The overall answer is the earlier of the two class results.
 
     Tables whose rows do not alternate with shrinking magnitudes cannot be
-    searched this way; those fall back to the linear scan, and the result's
-    method tag (table-scan) records the degraded path.
+    searched this way; those fall back to the linear scan, O(n), and the
+    result's method tag (table-scan) records the degraded path.
     """
     target = _check_target(target)
     epsilon = _check_epsilon(epsilon)
     if not table.supports_binary:
         return recover_match(table, target, epsilon)
-    lo_t = target - epsilon
-    hi_t = target + epsilon
-    values = table.values
-    candidates = []
-
-    neg = np.flatnonzero(values < 0.0)
-    neg_vals = values[neg]  # ascending
-    j = int(np.searchsorted(neg_vals, lo_t, side="right"))
-    if j < neg.size and neg_vals[j] < hi_t:
-        candidates.append(int(neg[j]))
-
-    pos = np.flatnonzero(values > 0.0)
-    pos_vals = values[pos]  # descending
-    j = int(np.searchsorted(-pos_vals, -hi_t, side="right"))
-    if j < pos.size and pos_vals[j] > lo_t:
-        candidates.append(int(pos[j]))
-
-    if not candidates:
-        return None
-    i = min(candidates)
-    residual = float(abs(values[i] - target))
-    return RecoveryResult(
-        n=int(table.ns[i]),
-        residual=residual,
-        method=RecoveryMethod.TABLE_BINARY,
-        stable=bool(residual < epsilon / 2.0),
+    return _row_result(
+        table, _first_within(table, target, epsilon), target, epsilon, RecoveryMethod.TABLE_BINARY
     )
 
 
@@ -335,6 +357,15 @@ def noise_sweep(
     order, so a (seed, amplitudes, trials) triple always reproduces the
     same stream.
 
+    All draws of an amplitude are decided in one vectorized pass, on every
+    table, alternating or not.  A draw recovers ``true_n`` when row
+    ``true_n`` matches and no earlier row does.  fl(value - target) is
+    monotone in the value, so if any earlier row matches, one of the
+    target's two neighbours among the sorted earlier rows does; checking
+    those two takes one ``searchsorted`` per amplitude.  Cost: one
+    O(n log n) sort per call plus O(trials log n) per amplitude, the same
+    on ``supports_binary`` tables and others.
+
     Returns:
         List of (amplitude, accuracy) pairs in input order.
     """
@@ -346,14 +377,16 @@ def noise_sweep(
     for amplitude in amplitudes:
         if not math.isfinite(amplitude) or amplitude < 0.0:
             raise ValueError(f"noise amplitude must be >= 0, got {amplitude!r}")
+    earlier = np.sort(table.values[: true_n - 1])
     rng = np.random.default_rng(seed)
     results = []
     for amplitude in amplitudes:
-        draws = rng.uniform(-amplitude, amplitude, int(trials))
-        hits = 0
-        for shift in draws:
-            recovered = recover_match(table, true_value + shift, epsilon)
-            if recovered is not None and recovered.n == true_n:
-                hits += 1
-        results.append((amplitude, hits / int(trials)))
+        targets = true_value + rng.uniform(-amplitude, amplitude, int(trials))
+        hits = np.abs(true_value - targets) < epsilon
+        if earlier.size:
+            above = np.minimum(np.searchsorted(earlier, targets), earlier.size - 1)
+            below = np.maximum(above - 1, 0)
+            for neighbour in (earlier[below], earlier[above]):
+                hits &= ~(np.abs(neighbour - targets) < epsilon)
+        results.append((amplitude, int(np.count_nonzero(hits)) / int(trials)))
     return results

@@ -51,6 +51,21 @@ def test_recover_match_json_output(capsys, table_path):
     assert len(out.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("target", ["-8.5e-05", "-1E-4", "-.5e-4"])
+def test_recover_negative_target_in_exponent_notation(capsys, table_path, target):
+    spaced = run(
+        capsys, "recover", "--table", str(table_path),
+        "--target", target, "--epsilon", "0.01",
+    )
+    joined = run(
+        capsys, "recover", "--table", str(table_path),
+        f"--target={target}", "--epsilon", "0.01",
+    )
+    assert spaced[0] == 0
+    assert json.loads(spaced[1])["n"] == 25
+    assert spaced == joined
+
+
 def test_recover_binary_and_threshold(capsys, table_path):
     code, out, _ = run(
         capsys, "recover", "--table", str(table_path),
@@ -214,6 +229,17 @@ def test_generalized_family_flags(capsys, tmp_path):
     assert code == 0
     meta = json.loads(path.read_text())["meta"]
     assert meta["family"] == {"kind": "generalized", "alpha": 0.25, "beta": 2.0, "gamma": 1.5}
+
+
+def test_negative_family_flags_in_exponent_notation(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    code, _, _ = run(
+        capsys, "table", "--n-max", "10", "--family", "generalized",
+        "--alpha", "-2.5e-1", "--beta", "-2E0", "--out", str(path),
+    )
+    assert code == 0
+    meta = json.loads(path.read_text())["meta"]
+    assert meta["family"] == {"kind": "generalized", "alpha": -0.25, "beta": -2.0, "gamma": 1.0}
 
 
 def test_invalid_generalized_flags_are_exit_2(capsys, tmp_path):

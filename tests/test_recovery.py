@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from smoothint import (
     Canonical,
     EncoderConfig,
+    ExpPoly,
     Generalized,
     IntegralTable,
     Mode,
     RecoveryMethod,
+    Trig,
+    build_table,
     integral_closed,
     noise_sweep,
     perturbation_margin,
@@ -24,6 +27,54 @@ from smoothint import (
 )
 
 FRACTIONAL = EncoderConfig(family=Canonical(), delta=0.2, mode=Mode.FRACTIONAL)
+
+
+def scan(values, target, epsilon):
+    """(n, residual, stable) of the first row within epsilon, by a full scan."""
+    residuals = np.abs(values - target)
+    hits = np.flatnonzero(residuals < epsilon)
+    if hits.size == 0:
+        return None
+    residual = float(residuals[hits[0]])
+    return int(hits[0]) + 1, residual, residual < epsilon / 2.0
+
+
+def outcome(result, method):
+    if result is None:
+        return None
+    assert result.method is method
+    return result.n, result.residual, result.stable
+
+
+def neighbours(x):
+    return [float(np.nextafter(x, -np.inf)), float(x), float(np.nextafter(x, np.inf))]
+
+
+@st.composite
+def alternating_rows(draw):
+    """A table alternating in sign under shrinking magnitudes, a row and an epsilon.
+
+    Half the tables are Canonical; the others are provenance-free, with
+    magnitudes from a small pool per parity class so that repeats occur.
+    """
+    n = draw(st.integers(min_value=1, max_value=2000))
+    if draw(st.booleans()):
+        table = build_table(EncoderConfig(family=Canonical(), delta=0.2), n)
+    else:
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        magnitudes = np.empty(n)
+        for start in (0, 1):
+            count = len(range(start, n, 2))
+            pool = 10.0 ** rng.uniform(-12.0, 3.0, size=count // 3 + 1)
+            magnitudes[start::2] = np.sort(rng.choice(pool, size=count))[::-1]
+        signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) * draw(st.sampled_from([1.0, -1.0]))
+        table = IntegralTable(
+            delta=None, family=None, n_max=n, ns=np.arange(1, n + 1), values=signs * magnitudes
+        )
+    assert table.supports_binary
+    i = draw(st.integers(min_value=0, max_value=n - 1))
+    epsilon = abs(float(table.values[i])) * 10.0 ** draw(st.floats(min_value=-8.0, max_value=0.5))
+    return table, i, epsilon
 
 
 def test_threshold_first_crossing(table30):
@@ -104,6 +155,33 @@ def test_binary_equals_match_everywhere(table30, target, epsilon):
     else:
         assert fast.n == scan.n
         assert fast.residual == scan.residual
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=alternating_rows())
+def test_searches_equal_the_scan_at_tolerance_edges(case):
+    # targets on the edge of row i's tolerance, where a search comparing
+    # against target +/- epsilon instead of |value - target| can disagree
+    table, i, epsilon = case
+    value = float(table.values[i])
+    for target in neighbours(value - epsilon) + neighbours(value + epsilon):
+        expected = scan(table.values, target, epsilon)
+        assert outcome(recover_match(table, target, epsilon), RecoveryMethod.TABLE_SCAN) == expected
+        assert outcome(recover_binary(table, target, epsilon), RecoveryMethod.TABLE_BINARY) == expected
+    for threshold in neighbours(abs(value)):
+        expected = scan(table.values, 0.0, threshold)
+        assert outcome(recover_threshold(table, threshold), RecoveryMethod.THRESHOLD) == expected
+
+
+def test_binary_agrees_with_scan_at_a_boundary_target():
+    # a target 5.6e-7 off row 250; a search on target +/- epsilon bounds
+    # once missed it and returned None
+    table = build_table(EncoderConfig(family=Canonical(), delta=0.2), 1000)
+    target, epsilon = 0.0010000812132554039, 5.64810019186582e-07
+    expected = (250, 5.648100191864812e-07, False)
+    assert scan(table.values, target, epsilon) == expected
+    assert outcome(recover_match(table, target, epsilon), RecoveryMethod.TABLE_SCAN) == expected
+    assert outcome(recover_binary(table, target, epsilon), RecoveryMethod.TABLE_BINARY) == expected
 
 
 def test_binary_falls_back_without_alternation():
@@ -231,3 +309,34 @@ def test_noise_sweep_validation(table30):
         noise_sweep(table30, 8, 0.005, [0.1], trials=0)
     with pytest.raises(ValueError):
         noise_sweep(table30, 99, 0.005, [0.1])
+
+
+def replay_sweep(table, true_n, epsilon, amplitudes, trials, seed):
+    """noise_sweep's contract, one scan per draw."""
+    rng = np.random.default_rng(seed)
+    true_value = table.value_at(true_n)
+    results = []
+    for amplitude in amplitudes:
+        hits = 0
+        for shift in rng.uniform(-amplitude, amplitude, trials):
+            found = scan(table.values, true_value + shift, epsilon)
+            hits += found is not None and found[0] == true_n
+        results.append((amplitude, hits / trials))
+    return results
+
+
+@pytest.mark.parametrize(
+    "family", [Trig(), ExpPoly(p=1.0), Generalized(0.3, 2.0, 1.5), Canonical()], ids=repr
+)
+@pytest.mark.parametrize("true_n", [1, 7, 40])
+def test_noise_sweep_equals_per_draw_scan(family, true_n):
+    table = build_table(EncoderConfig(family=family, delta=0.2), 40)
+    assert table.supports_binary == isinstance(family, Canonical)
+    values = table.values
+    # just inside the gap to the closest distinct row, so noisy draws reach
+    # other rows too
+    gaps = np.abs(values - values[true_n - 1])
+    epsilon = 0.75 * float(np.min(gaps[gaps > 0.0]))
+    amplitudes = [0.0, epsilon / 2.0, 2.0 * epsilon, 50.0 * epsilon]
+    expected = replay_sweep(table, true_n, epsilon, amplitudes, 200, seed=5)
+    assert noise_sweep(table, true_n, epsilon, amplitudes, trials=200, seed=5) == expected
