@@ -14,7 +14,6 @@ from .bumps import (
     TransitionFunction,
     bump_eval,
     bump_integral,
-    transition_eval,
 )
 from .coefficients import (
     Canonical,
@@ -137,6 +136,5 @@ __all__ = [
     "spline_fit",
     "tail_bound",
     "term_weights",
-    "transition_eval",
     "__version__",
 ]

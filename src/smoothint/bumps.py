@@ -15,7 +15,6 @@ __all__ = [
     "TransitionFunction",
     "bump_eval",
     "bump_integral",
-    "transition_eval",
 ]
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -128,8 +127,3 @@ class Heaviside:
 
 
 TransitionFunction = Sigmoid | Smoothstep | Heaviside
-
-
-def transition_eval(transition: TransitionFunction, x):
-    """Evaluate a transition function at ``x`` (scalar or array)."""
-    return transition(x)

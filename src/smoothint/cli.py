@@ -17,6 +17,7 @@ opened, so a failed invocation never leaves a partial file behind.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -24,7 +25,7 @@ import re
 import sys
 
 from .bumps import Sigmoid
-from .coefficients import Canonical, ExpPoly, Generalized, Trig, partial_sums
+from .coefficients import FAMILIES, partial_sums
 from .encoder import EncoderConfig, Mode, counter_grid
 from .integral_map import area_scale, build_table, integral_closed
 from .multidim import MultiEncoderConfig, integral_multi
@@ -117,7 +118,7 @@ def _range_pair(text: str) -> tuple[float, float]:
 def _add_family_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--family",
-        choices=["canonical", "generalized", "exppoly", "trig"],
+        choices=list(FAMILIES),
         default="canonical",
         help="coefficient family (default canonical)",
     )
@@ -128,13 +129,8 @@ def _add_family_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _family_from_args(args: argparse.Namespace):
-    if args.family == "canonical":
-        return Canonical()
-    if args.family == "generalized":
-        return Generalized(alpha=args.alpha, beta=args.beta, gamma=args.gamma)
-    if args.family == "exppoly":
-        return ExpPoly(p=args.p)
-    return Trig()
+    cls = FAMILIES[args.family]
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
 def _write_lines(path: str, lines: list[str]) -> None:

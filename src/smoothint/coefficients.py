@@ -15,6 +15,7 @@ or pairwise schemes would break.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "ExpPoly",
     "Trig",
     "CoefficientFamily",
+    "FAMILIES",
     "PartialSum",
     "coefficient",
     "partial_sum",
@@ -54,13 +56,6 @@ class Canonical:
     zero, so partial sums measure how much of the cancellation is still
     outstanding.
     """
-
-    def coefficient(self, n: int) -> float:
-        # scalar access funnels through the array path: libm and numpy
-        # transcendentals can disagree by an ulp, and two paths would leak
-        # that difference into the bit-exactness contract
-        n = _check_term_index(n)
-        return float(self.coefficients(np.array([n]))[0])
 
     def coefficients(self, ns: np.ndarray) -> np.ndarray:
         ns = np.asarray(ns)
@@ -96,10 +91,6 @@ class Generalized:
         if self.gamma < 1.0:
             raise ValueError(f"gamma must be >= 1, got {self.gamma!r}")
 
-    def coefficient(self, n: int) -> float:
-        n = _check_term_index(n)
-        return float(self.coefficients(np.array([n]))[0])
-
     def coefficients(self, ns: np.ndarray) -> np.ndarray:
         ns = np.asarray(ns)
         numer = np.power(self.alpha, ns) + _parity_signs(ns) * self.beta
@@ -116,10 +107,6 @@ class ExpPoly:
         if not math.isfinite(self.p) or self.p < 1.0:
             raise ValueError(f"p must be a finite value >= 1, got {self.p!r}")
 
-    def coefficient(self, n: int) -> float:
-        n = _check_term_index(n)
-        return float(self.coefficients(np.array([n]))[0])
-
     def coefficients(self, ns: np.ndarray) -> np.ndarray:
         ns = np.asarray(ns)
         numer = np.exp(-ns.astype(float)) + _parity_signs(ns)
@@ -135,16 +122,16 @@ class Trig:
     would only be approximately +-1.
     """
 
-    def coefficient(self, n: int) -> float:
-        n = _check_term_index(n)
-        return float(self.coefficients(np.array([n]))[0])
-
     def coefficients(self, ns: np.ndarray) -> np.ndarray:
         ns = np.asarray(ns)
         return _parity_signs(ns) * np.exp(-ns.astype(float)) / ns
 
 
 CoefficientFamily = Canonical | Generalized | ExpPoly | Trig
+
+# kind name -> class; file descriptors and the CLI's --family read their
+# kinds and parameters from here
+FAMILIES = {cls.__name__.lower(): cls for cls in typing.get_args(CoefficientFamily)}
 
 
 @dataclass(frozen=True)
@@ -157,7 +144,11 @@ class PartialSum:
 
 def coefficient(family: CoefficientFamily, n: int) -> float:
     """Return the n-th coefficient of ``family`` (n >= 1)."""
-    return family.coefficient(n)
+    # scalar access funnels through the array path: libm and numpy
+    # transcendentals can disagree by an ulp, and two paths would leak
+    # that difference into the bit-exactness contract
+    n = _check_term_index(n)
+    return float(family.coefficients(np.array([n]))[0])
 
 
 def partial_sums(family: CoefficientFamily, n_max: int) -> np.ndarray:

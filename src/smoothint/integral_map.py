@@ -50,10 +50,14 @@ def area_scale(delta: float) -> float:
 class IntegralTable:
     """Tabulated integral map I(N) for N = 1..n_max, no gaps.
 
-    ``family`` and ``delta`` may be ``None`` for tables loaded from files
-    that carry no provenance (the CSV form); such tables skip the
-    closed-form consistency check but remain fully usable for recovery,
-    which only reads the rows.
+    Row i of ``values`` holds I(i + 1); ``n_max`` and ``ns`` are derived
+    from it.  ``family`` and ``delta`` may be ``None`` for tables loaded
+    from files that carry no provenance (the CSV form); such tables remain
+    fully usable for recovery, which only reads the rows.
+
+    The constructor trusts its caller's values: only their finiteness is
+    checked here.  :func:`build_table` computes them from the closed form,
+    and the file loaders check what they read before constructing a table.
 
     ``supports_binary`` is derived from the rows at construction: the signs
     must strictly alternate and the magnitudes of each parity class must be
@@ -62,28 +66,16 @@ class IntegralTable:
 
     delta: float | None
     family: CoefficientFamily | None
-    n_max: int
-    ns: np.ndarray
     values: np.ndarray
     supports_binary: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        ns = np.asarray(self.ns, dtype=int)
         values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "ns", ns)
         object.__setattr__(self, "values", values)
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if ns.shape != (self.n_max,) or values.shape != (self.n_max,):
-            raise ValueError("table rows must cover exactly n_max entries")
-        if not np.array_equal(ns, np.arange(1, self.n_max + 1)):
-            raise ValueError("table rows must run 1..n_max in order with no gaps")
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError("table values must be a non-empty 1-D array")
         if not np.all(np.isfinite(values)):
             raise ValueError("table values must be finite")
-        if self.family is not None and self.delta is not None:
-            expected = area_scale(self.delta) * partial_sums(self.family, self.n_max)
-            if not np.allclose(values, expected, rtol=1e-12, atol=1e-12):
-                raise ValueError("table values disagree with the closed form")
         signs = np.sign(values)
         alternating = bool(signs[0] != 0.0 and np.all(signs[1:] == -signs[:-1]))
         magnitudes = np.abs(values)
@@ -92,8 +84,17 @@ class IntegralTable:
         object.__setattr__(self, "supports_binary", alternating and envelopes_shrink)
 
     @property
+    def n_max(self) -> int:
+        return len(self.values)
+
+    @property
+    def ns(self) -> np.ndarray:
+        """Row numbers 1..n_max, allocated on each read."""
+        return np.arange(1, self.n_max + 1)
+
+    @property
     def rows(self) -> list[tuple[int, float]]:
-        return [(int(n), float(v)) for n, v in zip(self.ns, self.values)]
+        return list(enumerate(self.values.tolist(), start=1))
 
     def value_at(self, n: int) -> float:
         """I(n) for a tabulated n, raising if n is outside 1..n_max."""
@@ -134,13 +135,7 @@ def build_table(config: EncoderConfig, n_max: int) -> IntegralTable:
     if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
     values = area_scale(config.delta) * partial_sums(config.family, int(n_max))
-    return IntegralTable(
-        delta=config.delta,
-        family=config.family,
-        n_max=int(n_max),
-        ns=np.arange(1, int(n_max) + 1),
-        values=values,
-    )
+    return IntegralTable(delta=config.delta, family=config.family, values=values)
 
 
 def _occupied_centers(config: EncoderConfig, n_value: float) -> tuple[int, int] | None:

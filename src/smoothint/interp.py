@@ -27,7 +27,6 @@ class CubicSpline:
     knots: np.ndarray
     values: np.ndarray
     coefficients: np.ndarray
-    boundary: str = "natural"
 
 
 def spline_fit(points) -> CubicSpline:

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .coefficients import CoefficientFamily, partial_sum, partial_sums
 from .encoder import EncoderConfig
 from .integral_map import build_table
@@ -72,7 +74,7 @@ def _check_indices(config: MultiEncoderConfig, indices) -> MultiIndex:
             f"expected {config.dimension} components, got {len(indices)}"
         )
     for component in indices:
-        if isinstance(component, bool) or not isinstance(component, int):
+        if isinstance(component, bool) or not isinstance(component, (int, np.integer)):
             raise TypeError(f"components must be integers, got {component!r}")
         if component < 0:
             raise ValueError(f"components must be >= 0, got {component}")
@@ -89,14 +91,14 @@ def integral_multi(config: MultiEncoderConfig, indices) -> float:
 
 
 def _axis_limits(config: MultiEncoderConfig, n_max) -> list[int]:
-    if isinstance(n_max, (int, bool)):
+    if isinstance(n_max, (int, np.integer)):
         limits = [n_max] * config.dimension
     else:
         limits = list(n_max)
     if len(limits) != config.dimension:
         raise ValueError(f"expected {config.dimension} axis limits, got {len(limits)}")
     for limit in limits:
-        if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
+        if isinstance(limit, bool) or not isinstance(limit, (int, np.integer)) or limit < 1:
             raise ValueError(f"axis limits must be positive integers, got {limit!r}")
     return limits
 

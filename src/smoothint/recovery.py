@@ -134,7 +134,7 @@ def _row_result(
         return None
     residual = float(abs(table.values[i] - target))
     return RecoveryResult(
-        n=int(table.ns[i]),
+        n=i + 1,
         residual=residual,
         method=method,
         stable=bool(residual < epsilon / 2.0),
@@ -236,11 +236,11 @@ def recover_spline(
     target = _check_target(target)
     if tol <= 0.0 or not math.isfinite(tol):
         raise ValueError(f"tol must be a positive real, got {tol!r}")
-    spline = spline_fit(zip(table.ns.astype(float), table.values))
+    spline = spline_fit(enumerate(table.values, start=1))
     gap = table.values - target
     knot_hits = np.flatnonzero(np.abs(gap) <= tol)
     if knot_hits.size:
-        n_star = float(table.ns[knot_hits[0]])
+        n_star = float(knot_hits[0] + 1)
     else:
         brackets = np.flatnonzero(gap[:-1] * gap[1:] < 0.0)
         if brackets.size == 0:
@@ -248,8 +248,8 @@ def recover_spline(
         i = int(brackets[0])
         n_star = find_root_bracketed(
             lambda x: spline_eval(spline, x) - target,
-            float(table.ns[i]),
-            float(table.ns[i + 1]),
+            float(i + 1),
+            float(i + 2),
             tol,
         )
     residual = abs(spline_eval(spline, n_star) - target)

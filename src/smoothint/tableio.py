@@ -5,6 +5,8 @@ Two on-disk forms:
 * JSON: a meta block (bump width, coefficient family descriptor, row count,
   format version) plus the rows.  Floats are written with Python's shortest
   round-trip repr, so save, load, save produces byte-identical files.
+  Loading checks the rows against the closed form of the declared family
+  and width.
 * CSV: header ``N,I`` and one row per line at 17 significant digits, which
   is enough to reproduce every double exactly.  The CSV form carries no
   metadata, so tables loaded from it have no family or width attached.
@@ -14,13 +16,15 @@ All files are written with newline-only line endings.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 
-from .coefficients import Canonical, CoefficientFamily, ExpPoly, Generalized, Trig
-from .integral_map import IntegralTable
+from .coefficients import FAMILIES, CoefficientFamily
+from .encoder import EncoderConfig
+from .integral_map import IntegralTable, build_table
 
 __all__ = [
     "FORMAT_VERSION",
@@ -38,20 +42,11 @@ FORMAT_VERSION = 1
 
 def family_descriptor(family: CoefficientFamily) -> dict:
     """JSON-ready tagged description of a coefficient family."""
-    if isinstance(family, Canonical):
-        return {"kind": "canonical"}
-    if isinstance(family, Generalized):
-        return {
-            "kind": "generalized",
-            "alpha": family.alpha,
-            "beta": family.beta,
-            "gamma": family.gamma,
-        }
-    if isinstance(family, ExpPoly):
-        return {"kind": "exppoly", "p": family.p}
-    if isinstance(family, Trig):
-        return {"kind": "trig"}
-    raise TypeError(f"unknown coefficient family {type(family).__name__}")
+    kind = next((kind for kind, cls in FAMILIES.items() if isinstance(family, cls)), None)
+    if kind is None:
+        raise TypeError(f"unknown coefficient family {type(family).__name__}")
+    params = dataclasses.fields(FAMILIES[kind])
+    return {"kind": kind, **{f.name: getattr(family, f.name) for f in params}}
 
 
 def family_from_descriptor(descriptor: dict) -> CoefficientFamily:
@@ -59,19 +54,17 @@ def family_from_descriptor(descriptor: dict) -> CoefficientFamily:
     if not isinstance(descriptor, dict) or "kind" not in descriptor:
         raise ValueError(f"malformed family descriptor: {descriptor!r}")
     kind = descriptor["kind"]
-    if kind == "canonical":
-        return Canonical()
-    if kind == "generalized":
-        return Generalized(
-            alpha=float(descriptor["alpha"]),
-            beta=float(descriptor["beta"]),
-            gamma=float(descriptor["gamma"]),
-        )
-    if kind == "exppoly":
-        return ExpPoly(p=float(descriptor["p"]))
-    if kind == "trig":
-        return Trig()
-    raise ValueError(f"unknown family kind {kind!r}")
+    cls = FAMILIES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown family kind {kind!r}")
+    return cls(**{f.name: float(descriptor[f.name]) for f in dataclasses.fields(cls)})
+
+
+def _check_row_numbers(ns: np.ndarray, path) -> None:
+    if ns.size == 0:
+        raise ValueError(f"{path} contains no rows")
+    if not np.array_equal(ns, np.arange(1, ns.size + 1)):
+        raise ValueError(f"rows of {path} must run 1..n_max in order with no gaps")
 
 
 def save_table_json(table: IntegralTable, path) -> None:
@@ -85,7 +78,7 @@ def save_table_json(table: IntegralTable, path) -> None:
             "n_max": table.n_max,
             "format_version": FORMAT_VERSION,
         },
-        "rows": [[int(n), float(v)] for n, v in zip(table.ns, table.values)],
+        "rows": table.rows,
     }
     text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     with open(path, "w", newline="") as handle:
@@ -93,7 +86,13 @@ def save_table_json(table: IntegralTable, path) -> None:
 
 
 def load_table_json(path) -> IntegralTable:
-    """Load a JSON table, re-validating rows against the closed form."""
+    """Load a JSON table, checking its provenance.
+
+    The rows must run 1..n_max with n_max as declared in the meta block,
+    and their values must agree with the closed form of the declared family
+    and width (rtol = atol = 1e-12), so an edited file cannot pose as that
+    family's table.
+    """
     with open(path) as handle:
         document = json.load(handle)
     try:
@@ -108,14 +107,18 @@ def load_table_json(path) -> IntegralTable:
         values = np.array([row[1] for row in rows], dtype=float)
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed table file {path}: {exc}") from exc
-    return IntegralTable(delta=delta, family=family, n_max=n_max, ns=ns, values=values)
+    _check_row_numbers(ns, path)
+    if n_max != ns.size:
+        raise ValueError(f"meta.n_max is {n_max} but {path} has {ns.size} rows")
+    expected = build_table(EncoderConfig(family=family, delta=delta), n_max).values
+    if not np.allclose(values, expected, rtol=1e-12, atol=1e-12):
+        raise ValueError("table values disagree with the closed form")
+    return IntegralTable(delta=delta, family=family, values=values)
 
 
 def save_table_csv(table: IntegralTable, path) -> None:
     """Write rows as ``N,I`` lines at 17 significant digits."""
-    lines = ["N,I"]
-    for n, value in zip(table.ns, table.values):
-        lines.append(f"{int(n)},{float(value):.17g}")
+    lines = ["N,I"] + [f"{n},{value:.17g}" for n, value in table.rows]
     with open(path, "w", newline="") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -135,15 +138,8 @@ def load_table_csv(path) -> IntegralTable:
             values.append(float(value_text))
         except ValueError as exc:
             raise ValueError(f"malformed table row {line!r} in {path}") from exc
-    if not ns:
-        raise ValueError(f"{path} contains no rows")
-    return IntegralTable(
-        delta=None,
-        family=None,
-        n_max=len(ns),
-        ns=np.array(ns, dtype=int),
-        values=np.array(values, dtype=float),
-    )
+    _check_row_numbers(np.array(ns, dtype=int), path)
+    return IntegralTable(delta=None, family=None, values=np.array(values, dtype=float))
 
 
 def load_table(path) -> IntegralTable:

@@ -12,7 +12,6 @@ from smoothint import (
     Smoothstep,
     bump_eval,
     bump_integral,
-    transition_eval,
 )
 
 
@@ -129,5 +128,5 @@ def test_heaviside_includes_zero_on_the_left():
 
 
 def test_transition_eval_dispatch():
-    assert transition_eval(Sigmoid(10.0), 0.0) == 0.5
-    assert transition_eval(Heaviside(), 2.0) == 0.0
+    assert Sigmoid(10.0)(0.0) == 0.5
+    assert Heaviside()(2.0) == 0.0

@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import pytest
 
-from smoothint.cli import main
+from smoothint.cli import build_parser, main
+from smoothint.coefficients import FAMILIES
 
 
 def run(capsys, *argv):
@@ -249,3 +251,11 @@ def test_invalid_generalized_flags_are_exit_2(capsys, tmp_path):
     )
     assert code == 2
     assert "alpha" in err
+
+
+def test_family_choices_follow_the_registry():
+    assert list(FAMILIES) == ["canonical", "generalized", "exppoly", "trig"]
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name in ("table", "plot-data", "multidim"):
+        family = next(a for a in commands.choices[name]._actions if a.dest == "family")
+        assert family.choices == list(FAMILIES)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from smoothint import (
     integral_closed,
     integral_quadrature,
     map_derivative_smooth,
-    partial_sums,
 )
 
 # independently derived closed-form values at delta = 0.2
@@ -120,56 +120,26 @@ def test_table_value_at_validation(table30):
         table30.value_at(3.0)
 
 
-def test_table_rejects_gaps():
-    with pytest.raises(ValueError, match="1..n_max"):
-        IntegralTable(
-            delta=None,
-            family=None,
-            n_max=3,
-            ns=np.array([1, 2, 4]),
-            values=np.array([-0.2, 0.1, -0.05]),
-        )
+def test_table_stores_only_its_values(table30):
+    settable = [f.name for f in dataclasses.fields(IntegralTable) if f.init]
+    assert settable == ["delta", "family", "values"]
+    table = IntegralTable(delta=None, family=None, values=table30.values[:5])
+    assert table.n_max == 5
+    assert np.array_equal(table.ns, np.arange(1, 6))
 
 
 def test_table_rejects_nonfinite_values():
     with pytest.raises(ValueError, match="finite"):
-        IntegralTable(
-            delta=None,
-            family=None,
-            n_max=2,
-            ns=np.array([1, 2]),
-            values=np.array([0.1, math.nan]),
-        )
-
-
-def test_table_rejects_values_off_the_closed_form():
-    values = area_scale(0.2) * partial_sums(Canonical(), 5)
-    values[3] += 1e-6
-    with pytest.raises(ValueError, match="closed form"):
-        IntegralTable(
-            delta=0.2, family=Canonical(), n_max=5, ns=np.arange(1, 6), values=values
-        )
+        IntegralTable(delta=None, family=None, values=np.array([0.1, math.nan]))
 
 
 def test_table_without_alternation_disables_binary():
-    table = IntegralTable(
-        delta=None,
-        family=None,
-        n_max=3,
-        ns=np.array([1, 2, 3]),
-        values=np.array([0.3, 0.2, 0.1]),
-    )
+    table = IntegralTable(delta=None, family=None, values=np.array([0.3, 0.2, 0.1]))
     assert not table.supports_binary
 
 
 def test_table_with_growing_envelope_disables_binary():
-    table = IntegralTable(
-        delta=None,
-        family=None,
-        n_max=4,
-        ns=np.arange(1, 5),
-        values=np.array([-0.1, 0.2, -0.3, 0.4]),
-    )
+    table = IntegralTable(delta=None, family=None, values=np.array([-0.1, 0.2, -0.3, 0.4]))
     assert not table.supports_binary
 
 

@@ -49,7 +49,6 @@ def test_spline_natural_boundary():
     a, b, c, d = spline.coefficients[-1]
     h = spline.knots[-1] - spline.knots[-2]
     assert 2.0 * c + 6.0 * d * h == pytest.approx(0.0, abs=1e-10)
-    assert spline.boundary == "natural"
 
 
 def test_spline_derivative_matches_finite_difference():

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from smoothint import (
@@ -115,6 +116,8 @@ def test_recover_multi_validation():
         recover_multi(CANONICAL_2D, (10, 10, 10), 1e-3)
     with pytest.raises(ValueError):
         recover_multi(CANONICAL_2D, 0, 1e-3)
+    with pytest.raises(ValueError, match="positive integers"):
+        recover_multi(CANONICAL_2D, True, 1e-3)
 
 
 def test_coordinatewise_recover_round_trip():
@@ -126,6 +129,22 @@ def test_coordinatewise_recover_round_trip():
 
 def test_coordinatewise_recover_fails_closed():
     assert coordinatewise_recover(CANONICAL_2D, (0.5, 0.01), 1e-6, 10) is None
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: recover_multi(CANONICAL_2D, n(5), 1e-2),
+        lambda n: recover_multi(CANONICAL_2D, [n(5), 5], 1e-2),
+        lambda n: coordinatewise_recover(CANONICAL_2D, (0.03, -0.03), 1e-2, n(30)),
+        lambda n: integral_multi(CANONICAL_2D, (n(2), 3)),
+    ],
+    ids=["recover_multi", "axis_limit_list", "coordinatewise_recover", "integral_multi"],
+)
+def test_numpy_integers_count_as_integers(call):
+    expected = call(int)
+    assert expected is not None
+    assert call(np.int64) == expected
 
 
 def test_coordinatewise_recover_validation():

@@ -68,9 +68,7 @@ def alternating_rows(draw):
             pool = 10.0 ** rng.uniform(-12.0, 3.0, size=count // 3 + 1)
             magnitudes[start::2] = np.sort(rng.choice(pool, size=count))[::-1]
         signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) * draw(st.sampled_from([1.0, -1.0]))
-        table = IntegralTable(
-            delta=None, family=None, n_max=n, ns=np.arange(1, n + 1), values=signs * magnitudes
-        )
+        table = IntegralTable(delta=None, family=None, values=signs * magnitudes)
     assert table.supports_binary
     i = draw(st.integers(min_value=0, max_value=n - 1))
     epsilon = abs(float(table.values[i])) * 10.0 ** draw(st.floats(min_value=-8.0, max_value=0.5))
@@ -185,13 +183,7 @@ def test_binary_agrees_with_scan_at_a_boundary_target():
 
 
 def test_binary_falls_back_without_alternation():
-    table = IntegralTable(
-        delta=None,
-        family=None,
-        n_max=3,
-        ns=np.arange(1, 4),
-        values=np.array([0.3, 0.2, 0.1]),
-    )
+    table = IntegralTable(delta=None, family=None, values=np.array([0.3, 0.2, 0.1]))
     assert not table.supports_binary
     result = recover_binary(table, 0.2, 0.05)
     assert result.n == 2

@@ -1,7 +1,12 @@
+import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from smoothint import (
     Canonical,
@@ -16,7 +21,22 @@ from smoothint import (
     save_table_csv,
     save_table_json,
 )
+from smoothint.coefficients import FAMILIES
 from smoothint.tableio import family_descriptor, family_from_descriptor
+
+# valid values for every parameter a registered family declares
+PARAMETERS = {
+    "alpha": st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    "beta": st.floats(min_value=-100.0, max_value=100.0),
+    "gamma": st.floats(min_value=1.0, max_value=8.0),
+    "p": st.floats(min_value=1.0, max_value=8.0),
+}
+
+
+@st.composite
+def families(draw):
+    cls = FAMILIES[draw(st.sampled_from(list(FAMILIES)))]
+    return cls(**{f.name: draw(PARAMETERS[f.name]) for f in dataclasses.fields(cls)})
 
 
 def test_json_round_trip(table30, tmp_path):
@@ -78,13 +98,55 @@ def test_metadata_free_table_refuses_json_save(table30, tmp_path):
         save_table_json(bare, tmp_path / "no.json")
 
 
-def test_tampered_json_rows_are_rejected(table30, tmp_path):
-    path = tmp_path / "t.json"
-    save_table_json(table30, path)
+def _edited_json(table, path, edit):
+    save_table_json(table, path)
     document = json.loads(path.read_text())
-    document["rows"][4][1] += 1e-3
+    edit(document)
     path.write_text(json.dumps(document))
-    with pytest.raises(ValueError, match="closed form"):
+    return path
+
+
+def test_tampered_json_rows_are_rejected(table30, tmp_path):
+    # 1e-6 on a row of magnitude 0.06 is far outside rtol = atol = 1e-12
+    for row, offset in ((4, 1e-3), (3, 1e-6)):
+
+        def tamper(document):
+            document["rows"][row][1] += offset
+
+        path = _edited_json(table30, tmp_path / "t.json", tamper)
+        with pytest.raises(ValueError, match="closed form"):
+            load_table_json(path)
+
+
+def test_loaders_reject_gaps(table30, tmp_path):
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_text("N,I\n1,-0.2\n2,0.1\n4,-0.05\n")
+    with pytest.raises(ValueError, match="1..n_max"):
+        load_table_csv(csv_path)
+
+    def skip_row_30(document):
+        document["rows"][29][0] = 31
+
+    json_path = _edited_json(table30, tmp_path / "t.json", skip_row_30)
+    with pytest.raises(ValueError, match="1..n_max"):
+        load_table_json(json_path)
+
+
+def test_json_row_count_must_match_meta(table30, tmp_path):
+    path = _edited_json(table30, tmp_path / "t.json", lambda d: d["rows"].pop())
+    with pytest.raises(ValueError, match="meta.n_max is 30 but .* has 29 rows"):
+        load_table_json(path)
+
+
+def test_json_with_a_negative_width_is_rejected(table30, tmp_path):
+    # negated rows are the closed form for delta = -0.2, but no bump has
+    # a negative width
+    def negate(document):
+        document["meta"]["delta"] = -0.2
+        document["rows"] = [[n, -v] for n, v in document["rows"]]
+
+    path = _edited_json(table30, tmp_path / "t.json", negate)
+    with pytest.raises(ValueError, match="delta must be > 0"):
         load_table_json(path)
 
 
@@ -150,3 +212,19 @@ def test_round_trip_preserves_family_parameters(tmp_path):
     loaded = load_table_json(path)
     assert loaded.family == family
     assert loaded.delta == 0.1
+
+
+@given(families(), st.floats(min_value=1e-3, max_value=10.0), st.integers(min_value=1, max_value=200))
+def test_every_family_round_trips_through_both_files(family, delta, n_max):
+    table = build_table(EncoderConfig(family=family, delta=delta), n_max)
+    with tempfile.TemporaryDirectory() as workdir:
+        first, second, csv_path = (Path(workdir) / name for name in ("a.json", "b.json", "t.csv"))
+        save_table_json(table, first)
+        loaded = load_table_json(first)
+        assert loaded.family == family
+        assert loaded.delta == delta
+        assert loaded.values.tobytes() == table.values.tobytes()
+        save_table_json(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+        save_table_csv(table, csv_path)
+        assert load_table_csv(csv_path).values.tobytes() == table.values.tobytes()
