@@ -15,7 +15,10 @@ from smoothint import (
     build_table,
     integral_closed,
     integral_quadrature,
+    load_table_json,
     map_derivative_smooth,
+    partial_sums,
+    save_table_json,
 )
 
 # independently derived closed-form values at delta = 0.2
@@ -131,6 +134,16 @@ def test_table_stores_only_its_values(table30):
 def test_table_rejects_nonfinite_values():
     with pytest.raises(ValueError, match="finite"):
         IntegralTable(delta=None, family=None, values=np.array([0.1, math.nan]))
+
+
+def test_table_rejects_values_off_the_closed_form(tmp_path):
+    # the constructor keeps any finite values; the JSON loader checks provenance
+    values = area_scale(0.2) * partial_sums(Canonical(), 5)
+    values[3] += 1e-6
+    path = tmp_path / "t.json"
+    save_table_json(IntegralTable(delta=0.2, family=Canonical(), values=values), path)
+    with pytest.raises(ValueError, match="closed form"):
+        load_table_json(path)
 
 
 def test_table_without_alternation_disables_binary():
