@@ -24,6 +24,8 @@ import math
 import re
 import sys
 
+import numpy as np
+
 from .bumps import Sigmoid
 from .coefficients import FAMILIES, partial_sums
 from .encoder import EncoderConfig, Mode, counter_grid
@@ -133,9 +135,10 @@ def _family_from_args(args: argparse.Namespace):
     return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
+def _write_lines(path: str, lines) -> None:
+    """Write each line of an iterable as it comes, ending every one with a newline."""
     with open(path, "w", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.writelines(line + "\n" for line in lines)
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -243,6 +246,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _grid_lines(grid):
+    """CSV lines ``i_1,...,i_d,value`` over a grid, last axis fastest (C order).
+
+    Values become Python floats one last-axis row at a time, so only the
+    grid itself is held whole.
+    """
+    prefixes = itertools.product(*(range(1, size + 1) for size in grid.shape[:-1]))
+    for prefix, row in zip(prefixes, grid.reshape(-1, grid.shape[-1])):
+        head = "".join(f"{i}," for i in prefix)
+        for n, value in enumerate(row.tolist(), start=1):
+            yield f"{head}{n},{value:.17g}"
+
+
 def _cmd_multidim(args: argparse.Namespace) -> int:
     family = _family_from_args(args)
     limits = args.n_max
@@ -250,13 +266,10 @@ def _cmd_multidim(args: argparse.Namespace) -> int:
         print("error: every axis limit must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     config = MultiEncoderConfig.isotropic(family, len(limits), delta=args.delta)
+    grid = integral_multi(config, [np.arange(1, limit + 1) for limit in limits])
     header = ",".join(f"N{i}" for i in range(1, config.dimension + 1)) + ",I"
-    lines = [header]
-    for combo in itertools.product(*(range(1, limit + 1) for limit in limits)):
-        prefix = ",".join(str(component) for component in combo)
-        lines.append(f"{prefix},{integral_multi(config, combo):.17g}")
-    _write_lines(args.out, lines)
-    print(f"wrote {len(lines) - 1} rows to {args.out}")
+    _write_lines(args.out, itertools.chain([header], _grid_lines(grid)))
+    print(f"wrote {grid.size} rows to {args.out}")
     return EXIT_OK
 
 

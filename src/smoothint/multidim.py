@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientFamily, partial_sum, partial_sums
+from .coefficients import CoefficientFamily, partial_sums
 from .encoder import EncoderConfig
 from .integral_map import build_table
 from .recovery import recover_match
@@ -25,6 +25,7 @@ from .recovery import recover_match
 __all__ = [
     "MultiIndex",
     "MultiEncoderConfig",
+    "MAX_GRID_CELLS",
     "integral_multi",
     "recover_multi",
     "coordinatewise_recover",
@@ -33,6 +34,9 @@ __all__ = [
 # Index tuples order lexicographically under the native tuple comparison,
 # which is exactly the ordering the searches below promise.
 MultiIndex = tuple[int, ...]
+
+# Most values one ``integral_multi`` call returns: 10**7 float64 values are 80 MB.
+MAX_GRID_CELLS = 10**7
 
 
 @dataclass(frozen=True)
@@ -67,27 +71,51 @@ def _scale(config: MultiEncoderConfig) -> float:
     return (2.0 * math.pi) ** (d / 2.0) * config.delta**d
 
 
-def _check_indices(config: MultiEncoderConfig, indices) -> MultiIndex:
+def _check_indices(config: MultiEncoderConfig, indices) -> tuple[np.ndarray, ...]:
     indices = tuple(indices)
     if len(indices) != config.dimension:
         raise ValueError(
             f"expected {config.dimension} components, got {len(indices)}"
         )
-    for component in indices:
-        if isinstance(component, bool) or not isinstance(component, (int, np.integer)):
-            raise TypeError(f"components must be integers, got {component!r}")
-        if component < 0:
-            raise ValueError(f"components must be >= 0, got {component}")
-    return indices
+    components = tuple(np.asarray(component) for component in indices)
+    for given, component in zip(indices, components):
+        if component.dtype.kind not in "iu":
+            raise TypeError(f"components must be integers, got {given!r}")
+        if (component < 0).any():
+            raise ValueError(f"components must be >= 0, got {given}")
+    return components
 
 
-def integral_multi(config: MultiEncoderConfig, indices) -> float:
-    """Closed-form d-dimensional integral at an index tuple."""
-    indices = _check_indices(config, indices)
-    product = 1.0
-    for family, component in zip(config.families, indices):
-        product *= partial_sum(family, component).value
-    return _scale(config) * product
+def integral_multi(config: MultiEncoderConfig, indices):
+    """Closed-form d-dimensional integral at an index tuple, or over a grid of them.
+
+    Each component is a count >= 0 or an integer array of counts.  With
+    counts only, the result is a float.  Otherwise it is the array over every
+    combination, shaped like the components joined in axis order (as
+    ``np.multiply.outer`` joins them): components ``np.arange(1, m_k + 1)``
+    give the grid whose entry ``[i_1 - 1, ..., i_d - 1]`` is the integral at
+    ``(i_1, ..., i_d)``.  Each axis's partial sums are computed once, the
+    axes are multiplied from 1.0 left to right and the scale comes last, so
+    a grid entry equals the one-point value bit for bit.
+
+    Raises:
+        ValueError: a negative count, or a result of more than
+            ``MAX_GRID_CELLS`` values; nothing is allocated in that case.
+        TypeError: a component that is not an integer or an integer array.
+    """
+    components = _check_indices(config, indices)
+    cells = math.prod(component.size for component in components)
+    if cells > MAX_GRID_CELLS:
+        raise ValueError(
+            f"grid of {cells} cells exceeds the limit of {MAX_GRID_CELLS} cells"
+        )
+    product = np.ones(())
+    for family, counts in zip(config.families, components):
+        # entry n is S(n), with the empty sum S(0) = 0 in front
+        sums = np.concatenate(([0.0], partial_sums(family, max(1, int(counts.max(initial=0))))))
+        product = np.multiply.outer(product, sums[counts])
+    product *= _scale(config)
+    return float(product) if product.ndim == 0 else product
 
 
 def _axis_limits(config: MultiEncoderConfig, n_max) -> list[int]:
@@ -120,7 +148,13 @@ def recover_multi(
 
     The search enumerates tuples in lexicographic order but prunes every
     subtree whose best achievable magnitude, taking the smallest |S| still
-    available on each remaining axis, cannot reach epsilon.
+    available on each remaining axis, cannot reach epsilon.  First mode stops
+    at its first hit.  Pareto mode keeps, per prefix, only the first
+    qualifying component on the last axis, which dominates every later one,
+    and then filters these candidates in one pass: as they arrive in
+    lexicographic order, every dominator of a candidate comes before it, so
+    a candidate is minimal exactly when no tuple kept so far is <= it.  The
+    cost beyond the enumeration is O(|candidates| * |minimal set| * d).
     """
     epsilon = float(epsilon)
     if not math.isfinite(epsilon) or epsilon <= 0.0:
@@ -138,31 +172,32 @@ def recover_multi(
     found: list[MultiIndex] = []
 
     def search(axis: int, prefix: tuple[int, ...], product: float) -> bool:
+        # a leaf returns True when its tuple qualifies, an inner call when first mode is done
         if axis == d:
             if scale * abs(product) < epsilon:
                 found.append(prefix)
-                return not pareto
+                return True
             return False
         for component in range(1, limits[axis] + 1):
             partial = product * float(sums[axis][component - 1])
             if scale * abs(partial) * best_tail[axis + 1] >= epsilon:
                 continue
             if search(axis + 1, prefix + (component,), partial):
-                return True
+                if not pareto:
+                    return True
+                if axis == d - 1:
+                    # the first hit for this prefix dominates every later one
+                    break
         return False
 
     search(0, (), 1.0)
-    if pareto:
-        minimal = [
-            candidate
-            for candidate in found
-            if not any(
-                other != candidate and all(o <= c for o, c in zip(other, candidate))
-                for other in found
-            )
-        ]
-        return sorted(minimal)
-    return found[0] if found else None
+    if not pareto:
+        return found[0] if found else None
+    minimal: list[MultiIndex] = []
+    for candidate in found:
+        if not any(all(k <= c for k, c in zip(kept, candidate)) for kept in minimal):
+            minimal.append(candidate)
+    return minimal
 
 
 def coordinatewise_recover(

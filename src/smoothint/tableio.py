@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from pathlib import Path
 
 import numpy as np
 
@@ -144,7 +143,8 @@ def load_table_csv(path) -> IntegralTable:
 
 def load_table(path) -> IntegralTable:
     """Load either on-disk form, sniffing JSON by its leading brace."""
-    head = Path(path).read_text()[:64].lstrip()
+    with open(path) as handle:
+        head = handle.read(64).lstrip()
     if head.startswith("{"):
         return load_table_json(path)
     return load_table_csv(path)

@@ -190,11 +190,30 @@ def test_criterion_09_separable_product_map():
         if not any(o != c and all(a <= b for a, b in zip(o, c)) for o in exhaustive)
     )
     pareto = recover_multi(config2, 30, epsilon, pareto=True)
-    ok = worst < 1e-10 and first == (min(exhaustive) if exhaustive else None) and pareto == minimal
+
+    config3 = MultiEncoderConfig.isotropic(Canonical(), 3, delta=0.2)
+    epsilon3 = 3e-5
+    exhaustive3 = [
+        combo
+        for combo in itertools.product(range(1, 13), repeat=3)
+        if abs(integral_multi(config3, combo)) < epsilon3
+    ]
+    first3 = recover_multi(config3, 12, epsilon3)
+    minimal3 = sorted(
+        c
+        for c in exhaustive3
+        if not any(o != c and all(a <= b for a, b in zip(o, c)) for o in exhaustive3)
+    )
+    pareto3 = recover_multi(config3, 12, epsilon3, pareto=True)
+    ok3 = bool(exhaustive3) and first3 == min(exhaustive3) and pareto3 == minimal3
+
+    ok = worst < 1e-10 and first == (min(exhaustive) if exhaustive else None) and pareto == minimal and ok3
     _verdict(9, "separable product map", ok)
     assert worst < 1e-10, f"separability residual {worst}"
     assert first == (min(exhaustive) if exhaustive else None), f"{first} vs exhaustive"
     assert pareto == minimal, f"{pareto} vs {minimal}"
+    assert exhaustive3 and first3 == min(exhaustive3), f"3-D: {first3} vs exhaustive"
+    assert pareto3 == minimal3, f"3-D: {pareto3} vs {minimal3}"
 
 
 def test_criterion_10_perturbation_tolerance(table30):

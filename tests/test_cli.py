@@ -1,8 +1,10 @@
 import argparse
+import itertools
 import json
 
 import pytest
 
+from smoothint import Canonical, ExpPoly, Generalized, MultiEncoderConfig, Trig, integral_multi
 from smoothint.cli import build_parser, main
 from smoothint.coefficients import FAMILIES
 
@@ -220,6 +222,46 @@ def test_multidim_grid(capsys, tmp_path):
     assert lines[0] == "N1,N2,I"
     assert lines[1].startswith("1,1,0.06283185307179586")
     assert len(lines) == 5
+
+
+MULTIDIM_FAMILIES = {
+    "canonical": ([], Canonical()),
+    "generalized": (
+        ["--alpha", "0.3", "--beta", "2", "--gamma", "1.5"],
+        Generalized(alpha=0.3, beta=2.0, gamma=1.5),
+    ),
+    "exppoly": (["--p", "2"], ExpPoly(p=2.0)),
+    "trig": ([], Trig()),
+}
+
+
+def test_multidim_families_cover_the_registry():
+    assert sorted(MULTIDIM_FAMILIES) == sorted(FAMILIES)
+
+
+@pytest.mark.parametrize("shape", [(7, 1, 5), (12, 12), (3, 2, 2, 2)], ids=str)
+@pytest.mark.parametrize("kind", list(MULTIDIM_FAMILIES))
+def test_multidim_csv_equals_per_cell_integrals(capsys, tmp_path, kind, shape):
+    flags, family = MULTIDIM_FAMILIES[kind]
+    path = tmp_path / "grid.csv"
+    n_max = ",".join(map(str, shape))
+    code, out, _ = run(capsys, "multidim", "--family", kind, *flags, "--n-max", n_max, "--out", str(path))
+    assert code == 0
+    config = MultiEncoderConfig.isotropic(family, len(shape), delta=0.2)
+    lines = [",".join(f"N{i}" for i in range(1, len(shape) + 1)) + ",I"]
+    for combo in itertools.product(*(range(1, limit + 1) for limit in shape)):
+        lines.append(",".join(map(str, combo)) + f",{integral_multi(config, combo):.17g}")
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert f"wrote {len(lines) - 1} rows" in out
+
+
+@pytest.mark.parametrize("n_max", ["1000,1000,1000", "100000,100000"])
+def test_multidim_refuses_grids_over_the_cell_cap(capsys, tmp_path, n_max):
+    path = tmp_path / "grid.csv"
+    code, _, err = run(capsys, "multidim", "--n-max", n_max, "--out", str(path))
+    assert code == 2
+    assert "exceeds the limit" in err
+    assert not path.exists()
 
 
 def test_generalized_family_flags(capsys, tmp_path):

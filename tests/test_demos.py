@@ -22,3 +22,4 @@ def test_demo_runs(demo, tmp_path):
         [sys.executable, script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )
     assert completed.returncode == 0, completed.stderr
+    assert not list(tmp_path.glob("smoothint_*")), "the demo left a temporary directory"

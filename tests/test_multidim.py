@@ -1,11 +1,16 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from smoothint import (
     Canonical,
+    ExpPoly,
+    Generalized,
     MultiEncoderConfig,
     Trig,
     coordinatewise_recover,
@@ -13,6 +18,8 @@ from smoothint import (
     partial_sums,
     recover_multi,
 )
+from smoothint import multidim
+from smoothint.coefficients import FAMILIES
 
 CANONICAL_2D = MultiEncoderConfig.isotropic(Canonical(), 2, delta=0.2)
 
@@ -85,16 +92,26 @@ def test_recover_multi_equals_exhaustive_search(epsilon):
     assert recover_multi(CANONICAL_2D, 12, epsilon) == expected
 
 
-def test_recover_multi_pareto_equals_exhaustive_filter():
-    epsilon = 1e-3
-    hits = _brute_force_hits(CANONICAL_2D, 12, epsilon)
-    minimal = sorted(
+def _minimal(hits):
+    return sorted(
         c
         for c in hits
         if not any(o != c and all(a <= b for a, b in zip(o, c)) for o in hits)
     )
-    assert recover_multi(CANONICAL_2D, 12, epsilon, pareto=True) == minimal
-    assert len(minimal) >= 1
+
+
+def test_recover_multi_pareto_equals_exhaustive_filter():
+    cases = [
+        (CANONICAL_2D, 12, 1e-3),
+        # 3-D mixed families: the first hit (2, 3, 2) of prefix (2, 3) is
+        # dominated by (2, 1, 2), which has another prefix
+        (MultiEncoderConfig(families=(Canonical(), Trig(), ExpPoly(2.0)), delta=0.2), 9, 3e-3),
+    ]
+    for config, limit, epsilon in cases:
+        hits = _brute_force_hits(config, limit, epsilon)
+        minimal = _minimal(hits)
+        assert recover_multi(config, limit, epsilon, pareto=True) == minimal
+        assert len(hits) > len(minimal) >= 1
 
 
 def test_recover_multi_none_when_unreachable():
@@ -150,3 +167,78 @@ def test_numpy_integers_count_as_integers(call):
 def test_coordinatewise_recover_validation():
     with pytest.raises(ValueError, match="one target per axis"):
         coordinatewise_recover(CANONICAL_2D, (0.1,), 1e-3, 10)
+
+
+# valid values for every parameter a registered family declares
+PARAMETERS = {
+    "alpha": st.floats(min_value=-0.99, max_value=0.99),
+    "beta": st.floats(min_value=-10.0, max_value=10.0),
+    "gamma": st.floats(min_value=1.0, max_value=4.0),
+    "p": st.floats(min_value=1.0, max_value=4.0),
+}
+
+
+@st.composite
+def multidim_cases(draw):
+    dimension = draw(st.sampled_from([2, 3]))
+    families = []
+    for _ in range(dimension):
+        cls = FAMILIES[draw(st.sampled_from(list(FAMILIES)))]
+        families.append(cls(**{f.name: draw(PARAMETERS[f.name]) for f in dataclasses.fields(cls)}))
+    limits = draw(st.lists(st.integers(1, 12), min_size=dimension, max_size=dimension))
+    epsilon = 10.0 ** draw(st.floats(min_value=-6.0, max_value=-1.0))
+    return MultiEncoderConfig(families=tuple(families), delta=0.2), limits, epsilon
+
+
+@given(multidim_cases())
+def test_recover_multi_equals_brute_force_for_any_family_mix(case):
+    config, limits, epsilon = case
+    # every cell at once; argwhere lists them in lexicographic order
+    grid = integral_multi(config, [np.arange(1, limit + 1) for limit in limits])
+    hits = [tuple(int(i) + 1 for i in index) for index in np.argwhere(np.abs(grid) < epsilon)]
+    assert recover_multi(config, limits, epsilon) == (min(hits) if hits else None)
+    assert recover_multi(config, limits, epsilon, pareto=True) == _minimal(hits)
+
+
+@pytest.mark.parametrize("limits", [(7, 1, 5), (12, 12), (3, 2, 2, 2), (1,), (9,)])
+def test_grid_entries_equal_one_point_integrals_bit_for_bit(limits):
+    config = MultiEncoderConfig(
+        families=(Generalized(0.3, 2.0, 1.5), Trig(), Canonical(), ExpPoly(2.0))[: len(limits)],
+        delta=0.2,
+    )
+    grid = integral_multi(config, [np.arange(1, limit + 1) for limit in limits])
+    assert grid.shape == limits
+    for combo in itertools.product(*(range(1, limit + 1) for limit in limits)):
+        assert grid[tuple(c - 1 for c in combo)] == integral_multi(config, combo)
+
+
+def test_integral_multi_takes_count_arrays():
+    grid = integral_multi(CANONICAL_2D, (np.array([0, 2, 1]), 3))
+    assert grid.shape == (3,)
+    assert grid.tolist() == [0.0, integral_multi(CANONICAL_2D, (2, 3)), integral_multi(CANONICAL_2D, (1, 3))]
+    assert type(integral_multi(CANONICAL_2D, (np.int64(2), 3))) is float
+    with pytest.raises(ValueError, match=">= 0"):
+        integral_multi(CANONICAL_2D, (np.array([1, -1]), 1))
+    with pytest.raises(TypeError):
+        integral_multi(CANONICAL_2D, (np.array([1.0, 2.0]), 1))
+    with pytest.raises(TypeError):
+        integral_multi(CANONICAL_2D, (np.array([True]), 1))
+
+
+@pytest.mark.parametrize("limits", [(1000, 1000, 1000), (100000, 100000)])
+def test_large_grids_are_refused_before_allocating(monkeypatch, limits):
+    def fail(*args, **kwargs):
+        raise AssertionError("the grid was computed")
+
+    monkeypatch.setattr(multidim, "partial_sums", fail)
+    monkeypatch.setattr(multidim.np, "ones", fail)
+    config = MultiEncoderConfig.isotropic(Canonical(), len(limits))
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        integral_multi(config, [np.arange(1, limit + 1) for limit in limits])
+
+
+def test_grid_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr(multidim, "MAX_GRID_CELLS", 12)
+    assert integral_multi(CANONICAL_2D, (np.arange(3), np.arange(4))).size == 12
+    with pytest.raises(ValueError, match="13 cells exceeds the limit of 12"):
+        integral_multi(CANONICAL_2D, (np.arange(13), 1))

@@ -225,3 +225,19 @@ def test_every_family_round_trips_through_both_files(family, delta, n_max):
         assert first.read_bytes() == second.read_bytes()
         save_table_csv(table, csv_path)
         assert load_table_csv(csv_path).values.tobytes() == table.values.tobytes()
+
+
+def test_load_table_reads_only_the_head_to_sniff(table30, tmp_path, monkeypatch):
+    json_path = tmp_path / "t.json"
+    csv_path = tmp_path / "t.csv"
+    save_table_json(table30, json_path)
+    save_table_csv(table30, csv_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_table read the whole file")
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    assert load_table(json_path).family == Canonical()
+    loaded = load_table(csv_path)
+    assert loaded.family is None
+    assert np.array_equal(loaded.values, table30.values)
