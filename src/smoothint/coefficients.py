@@ -27,6 +27,7 @@ __all__ = [
     "Trig",
     "CoefficientFamily",
     "FAMILIES",
+    "MAX_ROWS",
     "PartialSum",
     "coefficient",
     "partial_sum",
@@ -47,6 +48,35 @@ def _parity_signs(ns: np.ndarray) -> np.ndarray:
     return np.where(ns % 2 == 0, 1.0, -1.0)
 
 
+# |alpha|^n below 2^-1100 is 2^25 times smaller than half the smallest
+# subnormal (2^-1075), so it rounds to zero; the slack also absorbs the
+# rounding of the logarithm that locates the horizon.
+_UNDERFLOW_EXPONENT = 1100
+
+
+def _geometric(alpha: float, ns: np.ndarray) -> np.ndarray:
+    """``np.power(alpha, ns)``, bit for bit, without the calls that underflow.
+
+    ``pow`` runs about ten times slower on a result that underflows than on
+    a normal one, and past its horizon every term is such a zero.  Only the
+    terms below the horizon are computed; the rest are the zeros ``pow``
+    returns, signed like ``alpha^n``.
+    """
+    if alpha == 0.0:
+        return np.power(alpha, ns)
+    horizon = math.floor(_UNDERFLOW_EXPONENT / -math.log2(abs(alpha))) + 1
+    if ns.max(initial=0) < horizon:
+        return np.power(alpha, ns)
+    live = ns < horizon
+    values = np.power(alpha, ns[live])
+    out = np.zeros(ns.shape, dtype=values.dtype)
+    out[live] = values
+    if alpha < 0.0:
+        dead = ~live
+        out[dead] = 0.0 * _parity_signs(ns[dead])
+    return out
+
+
 @dataclass(frozen=True)
 class Canonical:
     """a_n = ((1/2)^n + (-1)^n) / n.
@@ -59,7 +89,7 @@ class Canonical:
 
     def coefficients(self, ns: np.ndarray) -> np.ndarray:
         ns = np.asarray(ns)
-        return (np.power(0.5, ns) + _parity_signs(ns)) / ns
+        return (_geometric(0.5, ns) + _parity_signs(ns)) / ns
 
 
 @dataclass(frozen=True)
@@ -72,7 +102,12 @@ class Generalized:
         gamma: polynomial decay exponent, must be >= 1.
 
     ``Generalized(0.5, 1.0, 1.0)`` reproduces :class:`Canonical` exactly,
-    including at the bit level.
+    including at the bit level: both evaluate alpha^n through the same
+    helper.  Past n = 1100 / -log2|alpha| (about 630 terms at alpha = 0.3)
+    alpha^n is below 2^-1100, far under half the smallest subnormal, so
+    ``np.power`` would return an exact (signed) zero there.  That zero is
+    written without calling ``pow``, whose underflowing calls are about ten
+    times slower than its normal ones; the values stay bit-identical.
     """
 
     alpha: float
@@ -93,7 +128,7 @@ class Generalized:
 
     def coefficients(self, ns: np.ndarray) -> np.ndarray:
         ns = np.asarray(ns)
-        numer = np.power(self.alpha, ns) + _parity_signs(ns) * self.beta
+        numer = _geometric(self.alpha, ns) + _parity_signs(ns) * self.beta
         return numer / np.power(ns.astype(float), self.gamma)
 
 
@@ -151,13 +186,35 @@ def coefficient(family: CoefficientFamily, n: int) -> float:
     return float(family.coefficients(np.array([n]))[0])
 
 
+# Most rows one array of terms may hold: 10**7 float64 values are 80 MB,
+# the same size as ``multidim.MAX_GRID_CELLS``.
+MAX_ROWS = 10**7
+
+
+def _check_row_count(rows: int) -> int:
+    """Refuse, before anything is allocated, more than ``MAX_ROWS`` rows."""
+    if rows > MAX_ROWS:
+        raise ValueError(f"{rows} rows exceeds the limit of {MAX_ROWS} rows")
+    return rows
+
+
 def partial_sums(family: CoefficientFamily, n_max: int) -> np.ndarray:
     """Running sums S(1), S(2), ..., S(n_max) as one array.
 
     Computed with a sequential accumulation, so each entry is bit-identical
     to summing the coefficients one by one in index order.
+
+    The cost is linear in ``n_max``.  For :class:`Canonical` and
+    :class:`Generalized` the geometric part alpha^n is computed only up to
+    its underflow horizon (about 1100 rows for Canonical); every later term
+    is the exact zero ``pow`` would return, so a 10**6-row Canonical sum
+    costs about 20 ms instead of about 80 ms, with the same bits.
+
+    Raises:
+        ValueError: ``n_max`` < 1, or more than ``MAX_ROWS`` rows.
+        TypeError: ``n_max`` is not an integer.
     """
-    n_max = _check_term_index(n_max)
+    n_max = _check_row_count(_check_term_index(n_max))
     ns = np.arange(1, n_max + 1)
     return np.cumsum(family.coefficients(ns))
 

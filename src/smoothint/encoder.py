@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .bumps import Sigmoid, TransitionFunction
-from .coefficients import CoefficientFamily
+from .coefficients import CoefficientFamily, _check_row_count
 
 __all__ = ["Mode", "EncoderConfig", "counter_eval", "counter_grid"]
 
@@ -116,28 +116,26 @@ def term_weights(config: EncoderConfig, n_value: float) -> tuple[np.ndarray, np.
         transition function.
 
     Raises:
-        ValueError: negative or non-finite ``n_value``, or a non-integer
-            ``n_value`` in discrete mode.
+        ValueError: negative or non-finite ``n_value``, a non-integer
+            ``n_value`` in discrete mode, or more than
+            ``coefficients.MAX_ROWS`` indices.
     """
     n_value = _check_count(n_value)
-    if config.mode is Mode.DISCRETE:
-        if n_value != math.floor(n_value):
-            raise ValueError(
-                f"discrete mode requires an integer counting parameter, got {n_value!r}"
-            )
-        k = int(n_value)
-        return np.arange(1, k + 1), np.ones(k)
-    if config.mode is Mode.FRACTIONAL:
-        k = math.floor(n_value)
-        frac = n_value - k
-        if frac == 0.0:
-            return np.arange(1, k + 1), np.ones(k)
-        weights = np.ones(k + 1)
+    if config.mode is Mode.SMOOTH:
+        n_hi = _check_row_count(smooth_cutoff(config, n_value))
+        ns = np.arange(1, n_hi + 1)
+        return ns, np.asarray(config.transition(ns - n_value), dtype=float)
+    k = math.floor(n_value)
+    frac = n_value - k
+    if config.mode is Mode.DISCRETE and frac != 0.0:
+        raise ValueError(
+            f"discrete mode requires an integer counting parameter, got {n_value!r}"
+        )
+    rows = _check_row_count(k if frac == 0.0 else k + 1)
+    weights = np.ones(rows)
+    if frac != 0.0:
         weights[-1] = frac
-        return np.arange(1, k + 2), weights
-    n_hi = smooth_cutoff(config, n_value)
-    ns = np.arange(1, n_hi + 1)
-    return ns, np.asarray(config.transition(ns - n_value), dtype=float)
+    return np.arange(1, rows + 1), weights
 
 
 def _accumulate(config: EncoderConfig, n_value: float, ts: np.ndarray) -> np.ndarray:

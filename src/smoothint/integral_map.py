@@ -20,7 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bumps import Sigmoid
-from .coefficients import CoefficientFamily, coefficient, partial_sum, partial_sums
+from .coefficients import (
+    CoefficientFamily,
+    _check_row_count,
+    coefficient,
+    partial_sum,
+    partial_sums,
+)
 from .encoder import EncoderConfig, Mode, _accumulate, _check_count, smooth_cutoff, term_weights
 
 __all__ = [
@@ -207,7 +213,7 @@ def map_derivative_smooth(config: EncoderConfig, n_value: float) -> float:
     if config.mode is not Mode.SMOOTH or not isinstance(config.transition, Sigmoid):
         raise ValueError("derivative requires smooth mode with a Sigmoid transition")
     n_value = float(n_value)
-    n_hi = smooth_cutoff(config, n_value)
+    n_hi = _check_row_count(smooth_cutoff(config, n_value))
     ns = np.arange(1, n_hi + 1)
     # d/dN sigma(n - N) is minus the x-derivative at x = n - N
     gain = -config.transition.derivative(ns - n_value)

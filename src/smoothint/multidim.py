@@ -20,7 +20,7 @@ import numpy as np
 from .coefficients import CoefficientFamily, partial_sums
 from .encoder import EncoderConfig
 from .integral_map import build_table
-from .recovery import recover_match
+from .recovery import _check_epsilon, recover_match
 
 __all__ = [
     "MultiIndex",
@@ -156,9 +156,7 @@ def recover_multi(
     a candidate is minimal exactly when no tuple kept so far is <= it.  The
     cost beyond the enumeration is O(|candidates| * |minimal set| * d).
     """
-    epsilon = float(epsilon)
-    if not math.isfinite(epsilon) or epsilon <= 0.0:
-        raise ValueError(f"epsilon must be a positive real, got {epsilon!r}")
+    epsilon = _check_epsilon(epsilon)
     limits = _axis_limits(config, n_max)
     sums = [partial_sums(family, limit) for family, limit in zip(config.families, limits)]
     scale = _scale(config)

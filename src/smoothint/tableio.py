@@ -21,9 +21,9 @@ import json
 
 import numpy as np
 
-from .coefficients import FAMILIES, CoefficientFamily
+from .coefficients import FAMILIES, CoefficientFamily, partial_sums
 from .encoder import EncoderConfig
-from .integral_map import IntegralTable, build_table
+from .integral_map import IntegralTable, area_scale
 
 __all__ = [
     "FORMAT_VERSION",
@@ -109,7 +109,8 @@ def load_table_json(path) -> IntegralTable:
     _check_row_numbers(ns, path)
     if n_max != ns.size:
         raise ValueError(f"meta.n_max is {n_max} but {path} has {ns.size} rows")
-    expected = build_table(EncoderConfig(family=family, delta=delta), n_max).values
+    EncoderConfig(family=family, delta=delta)  # refuses a width that is not > 0
+    expected = area_scale(delta) * partial_sums(family, n_max)
     if not np.allclose(values, expected, rtol=1e-12, atol=1e-12):
         raise ValueError("table values disagree with the closed form")
     return IntegralTable(delta=delta, family=family, values=values)

@@ -2,6 +2,7 @@ import argparse
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from smoothint import Canonical, ExpPoly, Generalized, MultiEncoderConfig, Trig, integral_multi
@@ -261,6 +262,22 @@ def test_multidim_refuses_grids_over_the_cell_cap(capsys, tmp_path, n_max):
     code, _, err = run(capsys, "multidim", "--n-max", n_max, "--out", str(path))
     assert code == 2
     assert "exceeds the limit" in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_table_refuses_row_counts_over_the_cap(capsys, tmp_path, monkeypatch, fmt):
+    def fail(*args, **kwargs):
+        raise AssertionError("the rows were allocated")
+
+    monkeypatch.setattr(np, "arange", fail)
+    path = tmp_path / f"t.{fmt}"
+    code, out, err = run(
+        capsys, "table", "--n-max", "1000000000", "--format", fmt, "--out", str(path)
+    )
+    assert code == 2
+    assert out == ""
+    assert "exceeds the limit of 10000000 rows" in err
     assert not path.exists()
 
 

@@ -2,20 +2,29 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from smoothint import (
     Canonical,
+    EncoderConfig,
     ExpPoly,
     Generalized,
+    Mode,
+    MultiEncoderConfig,
     PartialSum,
     Trig,
+    build_table,
     coefficient,
+    integral_closed,
+    map_derivative_smooth,
     partial_sum,
     partial_sums,
+    recover_multi,
     tail_bound,
+    term_weights,
 )
+from smoothint import coefficients
 
 ALL_FAMILIES = [Canonical(), Generalized(0.3, 2.0, 1.5), ExpPoly(2.0), Trig()]
 
@@ -54,15 +63,71 @@ def test_vectorized_matches_scalar(family):
         assert v == coefficient(family, int(n))
 
 
-@given(st.integers(min_value=1, max_value=400))
+@given(st.integers(min_value=1, max_value=3000))
 def test_generalized_reproduces_canonical_bitwise(n):
     # (0.5, 1, 1) must hit the same floats, not merely close ones
     assert coefficient(Generalized(0.5, 1.0, 1.0), n) == coefficient(Canonical(), n)
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _signs(ns):
+    return np.where(ns % 2 == 0, 1.0, -1.0)
+
+
+def test_canonical_matches_its_formula_bitwise_past_the_underflow():
+    # 0.5**n underflows to zero from n = 1075 on
+    ns = np.arange(1, 3001)
+    oracle = (np.power(0.5, ns) + _signs(ns)) / ns
+    assert np.array_equal(_bits(Canonical().coefficients(ns)), _bits(oracle))
+
+
+ALPHAS = st.one_of(
+    st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308]),
+    st.floats(min_value=0.999, max_value=1.0, exclude_max=True),
+    st.floats(min_value=-1.0, max_value=-0.999, exclude_min=True),
+)
+
+
+@given(
+    ALPHAS,
+    st.one_of(st.just(0.0), st.floats(min_value=-3.0, max_value=3.0)),
+    st.floats(min_value=1.0, max_value=3.0),
+)
+@example(alpha=-0.3, beta=0.0, gamma=1.0)  # pow's zeros keep the sign of alpha^n
+@example(alpha=0.5, beta=1.0, gamma=1.0)
+def test_generalized_matches_its_formula_bitwise_past_the_underflow(alpha, beta, gamma):
+    # |alpha|^n underflows to zero from about n = 1075 / -log2|alpha| on:
+    # check every row up to 1200, a dense block around that point and
+    # log-spaced rows up to 10**12, which cross it for every alpha tested
+    ns = [np.arange(1, 1201), np.geomspace(1, 1e12, 500).astype(np.int64)]
+    if alpha != 0.0:
+        start = int(1075 / -math.log2(abs(alpha)))
+        if start < 10**12:
+            ns.append(np.arange(max(1, start - 300), start + 300))
+    ns = np.concatenate(ns)
+    oracle = (np.power(alpha, ns) + _signs(ns) * beta) / np.power(ns.astype(float), gamma)
+    family = Generalized(alpha, beta, gamma)
+    assert np.array_equal(_bits(family.coefficients(ns)), _bits(oracle))
+
+
+@pytest.mark.parametrize(
+    "family",
+    ALL_FAMILIES + [Generalized(-0.3, 0.0, 1.0), Generalized(0.99, 1.0, 1.0)],
+    ids=repr,
+)
+def test_scalar_matches_array_past_the_underflow(family):
+    vec = family.coefficients(np.arange(1, 5001))
+    for n in (1074, 1075, 1076, 1077, 5000):
+        assert coefficient(family, n).hex() == float(vec[n - 1]).hex()
+
+
 def test_generalized_partial_sums_match_canonical_bitwise():
-    a = partial_sums(Generalized(0.5, 1.0, 1.0), 200)
-    b = partial_sums(Canonical(), 200)
+    a = partial_sums(Generalized(0.5, 1.0, 1.0), 3000)
+    b = partial_sums(Canonical(), 3000)
     assert np.array_equal(a, b)
 
 
@@ -98,9 +163,9 @@ def test_term_index_must_be_integer():
 def test_partial_sums_equal_sequential_fold():
     # bit-identical to left-to-right accumulation, the package-wide contract
     fam = Canonical()
-    sums = partial_sums(fam, 300)
+    sums = partial_sums(fam, 1200)
     acc = 0.0
-    for n in range(1, 301):
+    for n in range(1, 1201):
         acc += coefficient(fam, n)
         assert sums[n - 1] == acc
 
@@ -162,3 +227,39 @@ def test_tail_bound_unsupported_families():
 def test_tail_bound_rejects_bad_index():
     with pytest.raises(ValueError):
         tail_bound(Canonical(), 0)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the rows were allocated")
+
+
+CANONICAL = EncoderConfig(family=Canonical())
+TOO_MANY = [
+    lambda: partial_sums(Canonical(), 10**9),
+    lambda: partial_sum(Generalized(0.3, 2.0, 1.5), 10**9),
+    lambda: build_table(CANONICAL, 10**9),
+    lambda: integral_closed(CANONICAL, 1e9),
+    lambda: integral_closed(EncoderConfig(family=Trig(), mode=Mode.FRACTIONAL), 1e9 + 0.5),
+    lambda: integral_closed(EncoderConfig(family=Canonical(), mode=Mode.SMOOTH), 1e9),
+    lambda: map_derivative_smooth(EncoderConfig(family=Canonical(), mode=Mode.SMOOTH), 1e9),
+    lambda: recover_multi(MultiEncoderConfig.isotropic(Canonical(), 2), 10**9, 1e-3),
+]
+
+
+@pytest.mark.parametrize("call", TOO_MANY, ids=range(len(TOO_MANY)))
+def test_large_row_counts_are_refused_before_allocating(monkeypatch, call):
+    monkeypatch.setattr(np, "arange", _refuse)
+    monkeypatch.setattr(np, "ones", _refuse)
+    with pytest.raises(ValueError, match="exceeds the limit of 10000000 rows"):
+        call()
+
+
+def test_row_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr(coefficients, "MAX_ROWS", 12)
+    assert partial_sums(Canonical(), 12).size == 12
+    fractional = EncoderConfig(family=Canonical(), mode=Mode.FRACTIONAL)
+    assert term_weights(fractional, 11.5)[0].size == 12
+    with pytest.raises(ValueError, match="13 rows exceeds the limit of 12 rows"):
+        partial_sums(Canonical(), 13)
+    with pytest.raises(ValueError, match="13 rows exceeds the limit of 12 rows"):
+        term_weights(fractional, 12.5)

@@ -242,3 +242,9 @@ def test_grid_cap_is_inclusive(monkeypatch):
     assert integral_multi(CANONICAL_2D, (np.arange(3), np.arange(4))).size == 12
     with pytest.raises(ValueError, match="13 cells exceeds the limit of 12"):
         integral_multi(CANONICAL_2D, (np.arange(13), 1))
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1e-3, math.nan, math.inf])
+def test_recover_multi_rejects_bad_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be a positive real"):
+        recover_multi(CANONICAL_2D, 10, epsilon)
