@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._validate import check_positive, check_real
+
 __all__ = [
     "Bump",
     "Sigmoid",
@@ -29,11 +31,9 @@ class Bump:
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("center", "width", "amplitude"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.width <= 0.0:
-            raise ValueError(f"width must be > 0, got {self.width!r}")
+        check_real("center", self.center)
+        check_positive("width", self.width)
+        check_real("amplitude", self.amplitude)
 
 
 def bump_eval(bump: Bump, t):
@@ -75,8 +75,7 @@ class Sigmoid:
     sharpness: float = 10.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.sharpness) or self.sharpness <= 0.0:
-            raise ValueError(f"sharpness must be > 0, got {self.sharpness!r}")
+        check_positive("sharpness", self.sharpness)
 
     def __call__(self, x):
         u = self.sharpness * _as_float_array(x)
@@ -103,8 +102,7 @@ class Smoothstep:
     halfwidth: float = 0.5
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.halfwidth) or self.halfwidth <= 0.0:
-            raise ValueError(f"halfwidth must be > 0, got {self.halfwidth!r}")
+        check_positive("halfwidth", self.halfwidth)
 
     def __call__(self, x):
         u = (_as_float_array(x) + self.halfwidth) / (2.0 * self.halfwidth)

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._validate import check_int, check_real
+
 __all__ = [
     "Canonical",
     "Generalized",
@@ -34,14 +36,6 @@ __all__ = [
     "partial_sums",
     "tail_bound",
 ]
-
-
-def _check_term_index(n: int) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise TypeError(f"term index must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"term index must be >= 1, got {n}")
-    return int(n)
 
 
 def _parity_signs(ns: np.ndarray) -> np.ndarray:
@@ -116,9 +110,7 @@ class Generalized:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            check_real(name, getattr(self, name))
         if abs(self.alpha) >= 1.0:
             raise ValueError(
                 f"|alpha| must be < 1 for the geometric part to decay, got {self.alpha!r}"
@@ -139,8 +131,8 @@ class ExpPoly:
     p: float = 1.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.p) or self.p < 1.0:
-            raise ValueError(f"p must be a finite value >= 1, got {self.p!r}")
+        if check_real("p", self.p) < 1.0:
+            raise ValueError(f"p must be >= 1, got {self.p!r}")
 
     def coefficients(self, ns: np.ndarray) -> np.ndarray:
         ns = np.asarray(ns)
@@ -182,7 +174,7 @@ def coefficient(family: CoefficientFamily, n: int) -> float:
     # scalar access funnels through the array path: libm and numpy
     # transcendentals can disagree by an ulp, and two paths would leak
     # that difference into the bit-exactness contract
-    n = _check_term_index(n)
+    n = check_int("n", n, 1)
     return float(family.coefficients(np.array([n]))[0])
 
 
@@ -214,7 +206,7 @@ def partial_sums(family: CoefficientFamily, n_max: int) -> np.ndarray:
         ValueError: ``n_max`` < 1, or more than ``MAX_ROWS`` rows.
         TypeError: ``n_max`` is not an integer.
     """
-    n_max = _check_row_count(_check_term_index(n_max))
+    n_max = _check_row_count(check_int("n_max", n_max, 1))
     ns = np.arange(1, n_max + 1)
     return np.cumsum(family.coefficients(ns))
 
@@ -231,22 +223,20 @@ def partial_sum(family: CoefficientFamily, n: int) -> PartialSum:
         A :class:`PartialSum` record holding ``n`` and the accumulated value.
 
     Raises:
-        ValueError: if ``n`` is negative.
+        ValueError: if ``n`` is negative, or more than ``MAX_ROWS``.
         TypeError: if ``n`` is not an integer.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise TypeError(f"term count must be an integer, got {n!r}")
-    if n < 0:
-        raise ValueError(f"term count must be >= 0, got {n}")
+    n = check_int("n", n, 0)
     if n == 0:
         return PartialSum(0, 0.0)
-    return PartialSum(int(n), float(partial_sums(family, int(n))[-1]))
+    return PartialSum(n, float(partial_sums(family, n)[-1]))
 
 
 def tail_bound(family: CoefficientFamily, n: int) -> float:
     """Provable upper bound on |sum of all coefficients beyond index n|.
 
-    Because the full series sums to zero, this is also a bound on |S(n)|.
+    For :class:`Canonical`, whose series sums to zero, this also bounds |S(n)|;
+    other series sum to a non-zero limit, and their |S(n)| can far exceed it.
     The bound splits the tail into its two parts: the alternating part is
     bounded by the first omitted term, and the geometric part by the full
     geometric tail with the polynomial decay dropped:
@@ -268,7 +258,7 @@ def tail_bound(family: CoefficientFamily, n: int) -> float:
         NotImplementedError: for families without a certified bound.
         ValueError: if ``n`` < 1.
     """
-    n = _check_term_index(n)
+    n = check_int("n", n, 1)
     if isinstance(family, Canonical):
         alpha, beta, gamma = 0.5, 1.0, 1.0
     elif isinstance(family, Generalized):

@@ -21,6 +21,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._validate import check_int, check_positive, check_real
 from .bumps import Sigmoid, TransitionFunction
 from .coefficients import CoefficientFamily, _check_row_count
 
@@ -66,8 +67,7 @@ class EncoderConfig:
     truncation: int | None = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.delta) or self.delta <= 0.0:
-            raise ValueError(f"delta must be > 0, got {self.delta!r}")
+        check_positive("delta", self.delta)
         if not isinstance(self.mode, Mode):
             raise TypeError(f"mode must be a Mode, got {self.mode!r}")
         if self.mode is Mode.SMOOTH:
@@ -78,18 +78,18 @@ class EncoderConfig:
         if self.truncation is not None:
             if self.mode is not Mode.SMOOTH:
                 raise ValueError("truncation only applies to smooth mode")
-            if not isinstance(self.truncation, (int, np.integer)) or self.truncation < 1:
-                raise ValueError(f"truncation must be a positive integer, got {self.truncation!r}")
+            check_int("truncation", self.truncation, 1)
 
 
-def _check_count(n_value: float) -> float:
-    if isinstance(n_value, bool) or not isinstance(n_value, (int, float, np.integer, np.floating)):
-        raise TypeError(f"counting parameter must be a real number, got {n_value!r}")
-    n_value = float(n_value)
-    if not math.isfinite(n_value):
-        raise ValueError(f"counting parameter must be finite, got {n_value!r}")
+def _check_count(config: EncoderConfig, n_value: float) -> float:
+    """``n_value`` as a float >= 0, and a whole number in discrete mode."""
+    n_value = check_real("n_value", n_value)
     if n_value < 0.0:
-        raise ValueError(f"counting parameter must be >= 0, got {n_value!r}")
+        raise ValueError(f"n_value must be >= 0, got {n_value!r}")
+    if config.mode is Mode.DISCRETE and not n_value.is_integer():
+        raise ValueError(
+            f"discrete mode requires an integer counting parameter, got {n_value!r}"
+        )
     return n_value
 
 
@@ -120,17 +120,13 @@ def term_weights(config: EncoderConfig, n_value: float) -> tuple[np.ndarray, np.
             ``n_value`` in discrete mode, or more than
             ``coefficients.MAX_ROWS`` indices.
     """
-    n_value = _check_count(n_value)
+    n_value = _check_count(config, n_value)
     if config.mode is Mode.SMOOTH:
         n_hi = _check_row_count(smooth_cutoff(config, n_value))
         ns = np.arange(1, n_hi + 1)
         return ns, np.asarray(config.transition(ns - n_value), dtype=float)
     k = math.floor(n_value)
     frac = n_value - k
-    if config.mode is Mode.DISCRETE and frac != 0.0:
-        raise ValueError(
-            f"discrete mode requires an integer counting parameter, got {n_value!r}"
-        )
     rows = _check_row_count(k if frac == 0.0 else k + 1)
     weights = np.ones(rows)
     if frac != 0.0:
@@ -171,9 +167,7 @@ def counter_eval(config: EncoderConfig, n_value: float, t: float) -> float:
         ValueError: non-finite ``t``, negative ``n_value``, or a fractional
             ``n_value`` in discrete mode.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
+    t = check_real("t", t)
     return float(_accumulate(config, n_value, np.array([t]))[0])
 
 
@@ -195,10 +189,13 @@ def counter_grid(
     Returns:
         ``(ts, values)`` arrays of equal length; ``values[i]`` equals
         ``counter_eval(config, n_value, ts[i])`` exactly.
+
+    Raises:
+        TypeError: ``points`` is not an integer, or a real is not a number.
+        ValueError: a non-finite real, t_min >= t_max, or ``points`` < 2.
     """
-    if not (math.isfinite(t_min) and math.isfinite(t_max)) or t_min >= t_max:
-        raise ValueError(f"need finite t_min < t_max, got [{t_min!r}, {t_max!r}]")
-    if isinstance(points, bool) or not isinstance(points, (int, np.integer)) or points < 2:
-        raise ValueError(f"points must be an integer >= 2, got {points!r}")
-    ts = np.linspace(t_min, t_max, int(points))
+    t_min, t_max = check_real("t_min", t_min), check_real("t_max", t_max)
+    if t_min >= t_max:
+        raise ValueError(f"need t_min < t_max, got [{t_min!r}, {t_max!r}]")
+    ts = np.linspace(t_min, t_max, check_int("points", points, 2))
     return ts, _accumulate(config, n_value, ts)

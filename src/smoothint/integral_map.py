@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._validate import check_int, check_real
 from .bumps import Sigmoid
 from .coefficients import (
     CoefficientFamily,
@@ -104,9 +105,7 @@ class IntegralTable:
 
     def value_at(self, n: int) -> float:
         """I(n) for a tabulated n, raising if n is outside 1..n_max."""
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise TypeError(f"row index must be an integer, got {n!r}")
-        if not 1 <= n <= self.n_max:
+        if check_int("row", n, 1) > self.n_max:
             raise ValueError(f"row {n} outside table range 1..{self.n_max}")
         return float(self.values[n - 1])
 
@@ -122,38 +121,25 @@ def integral_closed(config: EncoderConfig, n_value: float) -> float:
     if config.mode is Mode.SMOOTH:
         ns, weights = term_weights(config, n_value)
         return scale * float(np.dot(weights, config.family.coefficients(ns)))
-    n_value = _check_count(n_value)
+    n_value = _check_count(config, n_value)
     k = math.floor(n_value)
     frac = n_value - k
-    if config.mode is Mode.DISCRETE and frac != 0.0:
-        raise ValueError(
-            f"discrete mode requires an integer counting parameter, got {n_value!r}"
-        )
     if frac == 0.0:
         return scale * partial_sum(config.family, k).value
     return scale * (partial_sum(config.family, k).value + frac * coefficient(config.family, k + 1))
 
 
 def build_table(config: EncoderConfig, n_max: int) -> IntegralTable:
-    """Tabulate I(N) for N = 1..n_max under a discrete-mode configuration."""
+    """Tabulate I(N) for N = 1..n_max under a discrete-mode configuration.
+
+    Raises:
+        TypeError: ``n_max`` is not an integer.
+        ValueError: not discrete mode, ``n_max`` < 1, or over ``MAX_ROWS`` rows.
+    """
     if config.mode is not Mode.DISCRETE:
         raise ValueError("tables are built from discrete-mode configurations")
-    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
-    values = area_scale(config.delta) * partial_sums(config.family, int(n_max))
+    values = area_scale(config.delta) * partial_sums(config.family, n_max)
     return IntegralTable(delta=config.delta, family=config.family, values=values)
-
-
-def _occupied_centers(config: EncoderConfig, n_value: float) -> tuple[int, int] | None:
-    """Range of bump centers carrying non-negligible weight, or None if empty."""
-    if config.mode is Mode.SMOOTH:
-        # one center past ceil(N) still carries a visible transition weight
-        return 1, math.ceil(n_value) + 1
-    if config.mode is Mode.FRACTIONAL:
-        hi = math.ceil(n_value) if n_value != math.floor(n_value) else int(n_value)
-    else:
-        hi = int(n_value)
-    return (1, hi) if hi >= 1 else None
 
 
 def integral_quadrature(
@@ -178,28 +164,32 @@ def integral_quadrature(
         points: trapezoid sample count, at least 100 per unit of length.
 
     Raises:
-        ValueError: insufficient domain coverage or sample density.
+        TypeError: ``points`` is not an integer, or a real is not a number.
+        ValueError: a non-finite real, t_min >= t_max, too few ``points``, or a truncated domain.
     """
-    if not (math.isfinite(t_min) and math.isfinite(t_max)) or t_min >= t_max:
-        raise ValueError(f"need finite t_min < t_max, got [{t_min!r}, {t_max!r}]")
-    if isinstance(points, bool) or not isinstance(points, (int, np.integer)) or points < 2:
-        raise ValueError(f"points must be an integer >= 2, got {points!r}")
+    n_value = _check_count(config, n_value)
+    t_min, t_max = check_real("t_min", t_min), check_real("t_max", t_max)
+    if t_min >= t_max:
+        raise ValueError(f"need t_min < t_max, got [{t_min!r}, {t_max!r}]")
+    points = check_int("points", points, 2)
     if points < _MIN_POINTS_PER_UNIT * (t_max - t_min):
         raise ValueError(
             f"{points} points is too sparse for [{t_min}, {t_max}]; "
             f"need at least {_MIN_POINTS_PER_UNIT:g} per unit length"
         )
-    span = _occupied_centers(config, float(n_value))
-    if span is not None:
+    # the last bump center with weight; in smooth mode one center past
+    # ceil(N) still carries a visible transition weight
+    last = math.ceil(n_value) + (1 if config.mode is Mode.SMOOTH else 0)
+    if last >= 1:
         margin = _DOMAIN_MARGIN_WIDTHS * config.delta
-        need_lo, need_hi = span[0] - margin, span[1] + margin
+        need_lo, need_hi = 1 - margin, last + margin
         if t_min > need_lo or t_max < need_hi:
             raise ValueError(
                 f"domain [{t_min}, {t_max}] truncates the bump train; "
                 f"need at least [{need_lo:g}, {need_hi:g}]"
             )
-    ts = np.linspace(t_min, t_max, int(points))
-    return float(np.trapezoid(_accumulate(config, float(n_value), ts), ts))
+    ts = np.linspace(t_min, t_max, points)
+    return float(np.trapezoid(_accumulate(config, n_value, ts), ts))
 
 
 def map_derivative_smooth(config: EncoderConfig, n_value: float) -> float:
@@ -212,7 +202,7 @@ def map_derivative_smooth(config: EncoderConfig, n_value: float) -> float:
     """
     if config.mode is not Mode.SMOOTH or not isinstance(config.transition, Sigmoid):
         raise ValueError("derivative requires smooth mode with a Sigmoid transition")
-    n_value = float(n_value)
+    n_value = _check_count(config, n_value)
     n_hi = _check_row_count(smooth_cutoff(config, n_value))
     ns = np.arange(1, n_hi + 1)
     # d/dN sigma(n - N) is minus the x-derivative at x = n - N

@@ -7,11 +7,12 @@ pins down where that curve crosses a target level.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from ._validate import check_int, check_positive, check_real
 
 __all__ = ["CubicSpline", "spline_fit", "spline_eval", "spline_derivative", "find_root_bracketed"]
 
@@ -79,32 +80,30 @@ def spline_fit(points) -> CubicSpline:
     return CubicSpline(knots=x, values=y, coefficients=np.column_stack([a, b, c, d]))
 
 
-def _interval_for(spline: CubicSpline, x: float) -> int:
-    x = float(x)
+def _locate(spline: CubicSpline, x: float) -> tuple[int, float]:
+    """Interval index of ``x`` and the offset of ``x`` into that interval."""
+    x = check_real("x", x)
     knots = spline.knots
-    if not math.isfinite(x):
-        raise ValueError(f"evaluation point must be finite, got {x!r}")
     if x < knots[0] or x > knots[-1]:
         raise ValueError(
             f"{x!r} is outside the knot range [{knots[0]}, {knots[-1]}]; "
             "extrapolation is refused"
         )
-    return int(np.clip(np.searchsorted(knots, x, side="right") - 1, 0, knots.size - 2))
+    i = int(np.clip(np.searchsorted(knots, x, side="right") - 1, 0, knots.size - 2))
+    return i, x - knots[i]
 
 
 def spline_eval(spline: CubicSpline, x: float) -> float:
     """Evaluate the spline at ``x``; points outside the knot range raise."""
-    i = _interval_for(spline, x)
+    i, u = _locate(spline, x)
     a, b, c, d = spline.coefficients[i]
-    u = float(x) - spline.knots[i]
     return float(((d * u + c) * u + b) * u + a)
 
 
 def spline_derivative(spline: CubicSpline, x: float) -> float:
     """First derivative of the spline at ``x`` (same domain rules as eval)."""
-    i = _interval_for(spline, x)
+    i, u = _locate(spline, x)
     _, b, c, d = spline.coefficients[i]
-    u = float(x) - spline.knots[i]
     return float((3.0 * d * u + 2.0 * c) * u + b)
 
 
@@ -123,15 +122,15 @@ def find_root_bracketed(
     bracket is narrower than tol.
 
     Raises:
-        ValueError: f(lo) and f(hi) have the same sign, or the iteration
-            cap is exhausted (not reachable for sane tolerances).
+        TypeError: ``max_iterations`` is not an integer, or a real is not a number.
+        ValueError: a non-finite real, lo >= hi, ``tol`` <= 0, ``max_iterations``
+            < 1, f(lo) and f(hi) of one sign, or the iteration cap is exhausted.
     """
-    lo = float(lo)
-    hi = float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise ValueError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+    lo, hi = check_real("lo", lo), check_real("hi", hi)
+    if lo >= hi:
+        raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
+    tol = check_positive("tol", tol)
+    max_iterations = check_int("max_iterations", max_iterations, 1)
     f_lo = f(lo)
     f_hi = f(hi)
     if f_lo == 0.0:

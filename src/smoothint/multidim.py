@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._validate import check_int, check_positive, check_real
 from .coefficients import CoefficientFamily, partial_sums
 from .encoder import EncoderConfig
 from .integral_map import build_table
-from .recovery import _check_epsilon, recover_match
+from .recovery import recover_match
 
 __all__ = [
     "MultiIndex",
@@ -51,8 +52,7 @@ class MultiEncoderConfig:
         object.__setattr__(self, "families", families)
         if len(families) < 1:
             raise ValueError("need at least one axis")
-        if not math.isfinite(self.delta) or self.delta <= 0.0:
-            raise ValueError(f"delta must be > 0, got {self.delta!r}")
+        check_positive("delta", self.delta)
 
     @property
     def dimension(self) -> int:
@@ -61,9 +61,7 @@ class MultiEncoderConfig:
     @classmethod
     def isotropic(cls, family: CoefficientFamily, dimension: int, delta: float = 0.2):
         """Same family on every axis."""
-        if dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {dimension}")
-        return cls(families=(family,) * dimension, delta=delta)
+        return cls(families=(family,) * check_int("dimension", dimension, 1), delta=delta)
 
 
 def _scale(config: MultiEncoderConfig) -> float:
@@ -119,16 +117,10 @@ def integral_multi(config: MultiEncoderConfig, indices):
 
 
 def _axis_limits(config: MultiEncoderConfig, n_max) -> list[int]:
-    if isinstance(n_max, (int, np.integer)):
-        limits = [n_max] * config.dimension
-    else:
-        limits = list(n_max)
+    limits = [n_max] * config.dimension if np.ndim(n_max) == 0 else list(n_max)
     if len(limits) != config.dimension:
         raise ValueError(f"expected {config.dimension} axis limits, got {len(limits)}")
-    for limit in limits:
-        if isinstance(limit, bool) or not isinstance(limit, (int, np.integer)) or limit < 1:
-            raise ValueError(f"axis limits must be positive integers, got {limit!r}")
-    return limits
+    return [check_int("n_max", limit, 1) for limit in limits]
 
 
 def recover_multi(
@@ -156,7 +148,7 @@ def recover_multi(
     a candidate is minimal exactly when no tuple kept so far is <= it.  The
     cost beyond the enumeration is O(|candidates| * |minimal set| * d).
     """
-    epsilon = _check_epsilon(epsilon)
+    epsilon = check_positive("epsilon", epsilon)
     limits = _axis_limits(config, n_max)
     sums = [partial_sums(family, limit) for family, limit in zip(config.families, limits)]
     scale = _scale(config)
@@ -213,7 +205,7 @@ def coordinatewise_recover(
     Raises:
         ValueError: number of targets differs from the number of axes.
     """
-    targets = tuple(float(t) for t in targets)
+    targets = tuple(check_real("target", t) for t in targets)
     if len(targets) != config.dimension:
         raise ValueError(
             f"need one target per axis: got {len(targets)} for {config.dimension} axes"

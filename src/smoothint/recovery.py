@@ -23,12 +23,12 @@ A failed search returns ``None``; it is an expected outcome, not an error.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from ._validate import check_int, check_positive, check_real
 from .coefficients import coefficient, partial_sum
 from .encoder import EncoderConfig
 from .integral_map import IntegralTable, area_scale
@@ -82,20 +82,6 @@ class RecoveryResult:
     def nearest_integer(self) -> int:
         """Rounded integer candidate for the continuous methods."""
         return int(round(self.n))
-
-
-def _check_epsilon(epsilon: float) -> float:
-    epsilon = float(epsilon)
-    if not math.isfinite(epsilon) or epsilon <= 0.0:
-        raise ValueError(f"epsilon must be a positive real, got {epsilon!r}")
-    return epsilon
-
-
-def _check_target(target: float) -> float:
-    target = float(target)
-    if not math.isfinite(target):
-        raise ValueError(f"target must be finite, got {target!r}")
-    return target
 
 
 def _first_within(table: IntegralTable, target: float, epsilon: float) -> int | None:
@@ -156,7 +142,7 @@ def recover_threshold(
     the parity-class bisection of :func:`recover_binary` aimed at zero;
     O(n) on other tables and whenever ``require_local_min`` is set.
     """
-    epsilon = _check_epsilon(epsilon)
+    epsilon = check_positive("epsilon", epsilon)
     if not require_local_min:
         return _row_result(
             table, _first_within(table, 0.0, epsilon), 0.0, epsilon, RecoveryMethod.THRESHOLD
@@ -182,8 +168,8 @@ def recover_match(
     on other tables.  Either way the result is the scan's, and the method
     tag is table-scan.
     """
-    target = _check_target(target)
-    epsilon = _check_epsilon(epsilon)
+    target = check_real("target", target)
+    epsilon = check_positive("epsilon", epsilon)
     return _row_result(
         table, _first_within(table, target, epsilon), target, epsilon, RecoveryMethod.TABLE_SCAN
     )
@@ -206,8 +192,8 @@ def recover_binary(
     searched this way; those fall back to the linear scan, O(n), and the
     result's method tag (table-scan) records the degraded path.
     """
-    target = _check_target(target)
-    epsilon = _check_epsilon(epsilon)
+    target = check_real("target", target)
+    epsilon = check_positive("epsilon", epsilon)
     if not table.supports_binary:
         return recover_match(table, target, epsilon)
     return _row_result(
@@ -233,9 +219,8 @@ def recover_spline(
     Stability means the spline slope at the result is bounded away from
     zero, so the inversion is locally well conditioned.
     """
-    target = _check_target(target)
-    if tol <= 0.0 or not math.isfinite(tol):
-        raise ValueError(f"tol must be a positive real, got {tol!r}")
+    target = check_real("target", target)
+    tol = check_positive("tol", tol)
     spline = spline_fit(enumerate(table.values, start=1))
     gap = table.values - target
     knot_hits = np.flatnonzero(np.abs(gap) <= tol)
@@ -284,13 +269,12 @@ def recover_analytic_fractional(
             result is flagged unstable.
 
     Raises:
-        ValueError: target outside the segment's range, or a segment whose
-            slope coefficient is exactly zero (no inverse exists).
+        TypeError: ``segment`` is not an integer, or ``target`` not a number.
+        ValueError: ``segment`` < 0, a target non-finite or outside the segment's
+            range, or a slope coefficient of exactly zero (no inverse exists).
     """
-    target = _check_target(target)
-    if isinstance(segment, bool) or not isinstance(segment, (int, np.integer)) or segment < 0:
-        raise ValueError(f"segment must be an integer >= 0, got {segment!r}")
-    k = int(segment)
+    target = check_real("target", target)
+    k = check_int("segment", segment, 0)
     scale = area_scale(config.delta)
     slope_coeff = coefficient(config.family, k + 1)
     if slope_coeff == 0.0:
@@ -317,16 +301,20 @@ def select_epsilon(decay_ratio: float, n_max: int, constant: float = 1.0) -> flo
 
     Using the envelope value at the table horizon as epsilon keeps the
     threshold test meaningful at every depth the table covers.
+
+    Raises:
+        TypeError: ``n_max`` is not an integer, or a real is not a number.
+        ValueError: ``decay_ratio`` outside (0, 1), ``n_max`` < 1, ``constant``
+            <= 0 or non-finite, or a result that underflows to 0.0.
     """
-    decay_ratio = float(decay_ratio)
+    decay_ratio = check_real("decay_ratio", decay_ratio)
     if not 0.0 < decay_ratio < 1.0:
-        raise ValueError(f"decay ratio must be in (0, 1), got {decay_ratio!r}")
-    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
-    constant = float(constant)
-    if not math.isfinite(constant) or constant <= 0.0:
-        raise ValueError(f"constant must be > 0, got {constant!r}")
-    return constant * decay_ratio ** int(n_max)
+        raise ValueError(f"decay_ratio must be in (0, 1), got {decay_ratio!r}")
+    n_max = check_int("n_max", n_max, 1)
+    epsilon = check_positive("constant", constant) * decay_ratio**n_max
+    if epsilon == 0.0:
+        raise ValueError(f"constant * decay_ratio**n_max underflows to 0.0 at n_max={n_max}")
+    return epsilon
 
 
 def perturbation_margin(table: IntegralTable, n: int, epsilon: float) -> bool:
@@ -336,7 +324,7 @@ def perturbation_margin(table: IntegralTable, n: int, epsilon: float) -> bool:
     the perturbed value within epsilon of the stored row, by the triangle
     inequality.
     """
-    epsilon = _check_epsilon(epsilon)
+    epsilon = check_positive("epsilon", epsilon)
     return bool(abs(table.value_at(n)) < epsilon / 2.0)
 
 
@@ -368,25 +356,27 @@ def noise_sweep(
 
     Returns:
         List of (amplitude, accuracy) pairs in input order.
+
+    Raises:
+        TypeError: ``true_n`` or ``trials`` is not an integer, or a real is not a number.
+        ValueError: ``true_n`` off the table, ``trials`` < 1, or a real out of range or not finite.
     """
-    epsilon = _check_epsilon(epsilon)
+    epsilon = check_positive("epsilon", epsilon)
     true_value = table.value_at(true_n)
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    amplitudes = [float(a) for a in amplitudes]
-    for amplitude in amplitudes:
-        if not math.isfinite(amplitude) or amplitude < 0.0:
-            raise ValueError(f"noise amplitude must be >= 0, got {amplitude!r}")
+    trials = check_int("trials", trials, 1)
+    amplitudes = [check_real("noise amplitude", a) for a in amplitudes]
+    if min(amplitudes, default=0.0) < 0.0:
+        raise ValueError(f"noise amplitude must be >= 0, got {min(amplitudes)!r}")
     earlier = np.sort(table.values[: true_n - 1])
     rng = np.random.default_rng(seed)
     results = []
     for amplitude in amplitudes:
-        targets = true_value + rng.uniform(-amplitude, amplitude, int(trials))
+        targets = true_value + rng.uniform(-amplitude, amplitude, trials)
         hits = np.abs(true_value - targets) < epsilon
         if earlier.size:
             above = np.minimum(np.searchsorted(earlier, targets), earlier.size - 1)
             below = np.maximum(above - 1, 0)
             for neighbour in (earlier[below], earlier[above]):
                 hits &= ~(np.abs(neighbour - targets) < epsilon)
-        results.append((amplitude, int(np.count_nonzero(hits)) / int(trials)))
+        results.append((amplitude, int(np.count_nonzero(hits)) / trials))
     return results

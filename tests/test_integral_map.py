@@ -100,7 +100,7 @@ def test_build_table_requires_discrete_mode(fractional_config):
 def test_build_table_validates_n_max(canonical_config):
     with pytest.raises(ValueError):
         build_table(canonical_config, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         build_table(canonical_config, 2.5)
 
 

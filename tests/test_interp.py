@@ -117,3 +117,18 @@ def test_find_root_validation():
 def test_find_root_iteration_cap():
     with pytest.raises(ValueError, match="iterations"):
         find_root_bracketed(math.cos, 0.0, 2.0, tol=1e-15, max_iterations=3)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_find_root_rejects_a_tolerance_that_is_not_a_positive_real(tol):
+    # a NaN tolerance used to run every iteration, an infinite one to
+    # return the bracket midpoint 0.5 for a root at 0.3
+    with pytest.raises(ValueError, match="tol must be a positive real"):
+        find_root_bracketed(lambda x: x - 0.3, 0.0, 1.0, tol=tol)
+
+
+def test_find_root_rejects_a_zero_iteration_cap():
+    with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+        find_root_bracketed(lambda x: x - 0.3, 0.0, 1.0, max_iterations=0)
+    root = find_root_bracketed(lambda x: x - 0.3, 0.0, 1.0, max_iterations=1)
+    assert root == pytest.approx(0.3, abs=1e-12)

@@ -133,7 +133,7 @@ def test_recover_multi_validation():
         recover_multi(CANONICAL_2D, (10, 10, 10), 1e-3)
     with pytest.raises(ValueError):
         recover_multi(CANONICAL_2D, 0, 1e-3)
-    with pytest.raises(ValueError, match="positive integers"):
+    with pytest.raises(TypeError, match="n_max must be an integer"):
         recover_multi(CANONICAL_2D, True, 1e-3)
 
 

@@ -239,7 +239,7 @@ def test_analytic_rejects_target_outside_segment():
 def test_analytic_rejects_bad_segment():
     with pytest.raises(ValueError):
         recover_analytic_fractional(FRACTIONAL, 0.0, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         recover_analytic_fractional(FRACTIONAL, 0.0, 1.5)
 
 
@@ -269,6 +269,13 @@ def test_select_epsilon_validation():
         select_epsilon(0.5, 0)
     with pytest.raises(ValueError):
         select_epsilon(0.5, 10, -1.0)
+
+
+def test_select_epsilon_refuses_a_tolerance_that_underflows():
+    # 0.5 ** 2000 is 0.0, a tolerance every recovery refuses
+    with pytest.raises(ValueError, match="underflows to 0.0"):
+        select_epsilon(0.5, 2000)
+    assert select_epsilon(0.5, 1074) == 5e-324
 
 
 def test_perturbation_margin(table30):

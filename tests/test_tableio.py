@@ -143,7 +143,7 @@ def test_json_with_a_negative_width_is_rejected(table30, tmp_path):
         document["rows"] = [[n, -v] for n, v in document["rows"]]
 
     path = _edited_json(table30, tmp_path / "t.json", negate)
-    with pytest.raises(ValueError, match="delta must be > 0"):
+    with pytest.raises(ValueError, match="delta must be a positive real"):
         load_table_json(path)
 
 
