@@ -41,3 +41,11 @@ def check_positive(name: str, value) -> float:
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be a positive real, got {value!r}")
     return value
+
+
+def check_nonnegative(name: str, value) -> float:
+    """``value`` as a finite float >= 0."""
+    value = _real(name, value)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be a non-negative real, got {value!r}")
+    return value

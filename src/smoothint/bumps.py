@@ -54,6 +54,8 @@ def bump_integral(bump: Bump) -> float:
 # ---------------------------------------------------------------------------
 # Transition functions: all map the real line onto [0, 1], equal 1 far to the
 # left, 0 far to the right, so sigma(n - N) switches bump n on once N passes n.
+# Past x = ``reach`` a weight is below 2^-56 (a sixteenth of an ulp of 1) or
+# exactly 0, so a smooth series ends at the last center within reach of N.
 # ---------------------------------------------------------------------------
 
 
@@ -76,6 +78,11 @@ class Sigmoid:
 
     def __post_init__(self) -> None:
         check_positive("sharpness", self.sharpness)
+
+    @property
+    def reach(self) -> float:
+        """56 ln 2 / sharpness: past it sigma(x) < exp(-sharpness * x) < 2^-56."""
+        return 56.0 * math.log(2.0) / self.sharpness
 
     def __call__(self, x):
         u = self.sharpness * _as_float_array(x)
@@ -104,6 +111,11 @@ class Smoothstep:
     def __post_init__(self) -> None:
         check_positive("halfwidth", self.halfwidth)
 
+    @property
+    def reach(self) -> float:
+        """The halfwidth: the ramp ends there and the weight is exactly 0 past it."""
+        return self.halfwidth
+
     def __call__(self, x):
         u = (_as_float_array(x) + self.halfwidth) / (2.0 * self.halfwidth)
         u = np.clip(u, 0.0, 1.0)
@@ -118,6 +130,8 @@ class Heaviside:
     The value at exactly 0 is 1 so that at integer N the gated sum picks up
     bumps 1..N inclusive and reproduces the discrete evaluation exactly.
     """
+
+    reach = 0.0  # the weight is exactly 0 for every x > 0
 
     def __call__(self, x):
         out = np.where(_as_float_array(x) <= 0.0, 1.0, 0.0)

@@ -214,15 +214,9 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
             print("error: the smooth map is defined for N >= 0", file=sys.stderr)
             return EXIT_USAGE
         config = EncoderConfig(
-            family=family,
-            delta=args.delta,
-            mode=Mode.SMOOTH,
-            transition=Sigmoid(args.sharpness),
-            truncation=math.ceil(t_hi) + 10,
+            family=family, delta=args.delta, mode=Mode.SMOOTH, transition=Sigmoid(args.sharpness)
         )
-        step = (t_hi - t_lo) / (args.points - 1)
-        for i in range(args.points):
-            n_value = t_lo + step * i if i < args.points - 1 else t_hi
+        for n_value in np.linspace(t_lo, t_hi, args.points).tolist():
             lines.append(f"{n_value:.17g},{integral_closed(config, n_value):.17g}")
     _write_lines(args.out, lines)
     print(f"wrote {len(lines) - 1} rows to {args.out}")

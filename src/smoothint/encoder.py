@@ -8,9 +8,10 @@ parameter N are supported:
 * fractional: bumps 1..floor(N) fire fully and bump floor(N)+1 fires scaled
   by the fractional part, so the train interpolates linearly between
   consecutive integer configurations.
-* smooth: every bump up to a truncation index fires, weighted by a
-  transition function evaluated at (n - N), so the whole train is a smooth
-  function of N.
+* smooth: every bump n fires, weighted by a transition function evaluated
+  at (n - N), so the whole train is a smooth function of N.  The series ends
+  at :func:`smooth_cutoff`, floor(N + reach): past the transition's reach a
+  weight is below 2^-56 (sigmoid) or exactly 0 (smoothstep, Heaviside).
 """
 
 from __future__ import annotations
@@ -21,16 +22,11 @@ from enum import Enum
 
 import numpy as np
 
-from ._validate import check_int, check_positive, check_real
+from ._validate import check_int, check_nonnegative, check_positive, check_real
 from .bumps import Sigmoid, TransitionFunction
-from .coefficients import CoefficientFamily, _check_row_count
+from .coefficients import MAX_ROWS, CoefficientFamily, _check_row_count
 
 __all__ = ["Mode", "EncoderConfig", "counter_eval", "counter_grid"]
-
-# A smooth evaluation keeps this many bump indices beyond ceil(N); the
-# transition weight of the last kept term is already below 1e-40 at the
-# default sharpness.
-SMOOTH_TRUNCATION_MARGIN = 10
 
 # A bump further than this many widths from t contributes less than 1e-55
 # of its amplitude, far below every tolerance in the package (the skip
@@ -52,19 +48,15 @@ class EncoderConfig:
         family: coefficient family supplying the bump amplitudes.
         delta: shared bump width, > 0.
         mode: counting interpretation, see the module docstring.
-        transition: gating function for smooth mode.  Defaults to
-            ``Sigmoid(10.0)`` when smooth mode is selected; must be left
-            unset for the other modes.
-        truncation: fixed series cutoff for smooth mode.  ``None`` derives
-            ceil(N) + 10 at evaluation time; an explicit value below that
-            floor is rejected when evaluating.
+        transition: smooth mode's gate, a ``Sigmoid`` (default ``Sigmoid(10.0)``),
+            ``Smoothstep`` or ``Heaviside``; unset in the other modes.  Its
+            ``reach`` decides where the series ends, see :func:`smooth_cutoff`.
     """
 
     family: CoefficientFamily
     delta: float = 0.2
     mode: Mode = Mode.DISCRETE
     transition: TransitionFunction | None = field(default=None)
-    truncation: int | None = None
 
     def __post_init__(self) -> None:
         check_positive("delta", self.delta)
@@ -73,37 +65,37 @@ class EncoderConfig:
         if self.mode is Mode.SMOOTH:
             if self.transition is None:
                 object.__setattr__(self, "transition", Sigmoid())
+            elif not isinstance(self.transition, TransitionFunction):
+                raise TypeError(f"transition must be a Sigmoid, Smoothstep or Heaviside, got {self.transition!r}")
         elif self.transition is not None:
             raise ValueError("transition only applies to smooth mode")
-        if self.truncation is not None:
-            if self.mode is not Mode.SMOOTH:
-                raise ValueError("truncation only applies to smooth mode")
-            check_int("truncation", self.truncation, 1)
 
 
 def _check_count(config: EncoderConfig, n_value: float) -> float:
     """``n_value`` as a float >= 0, and a whole number in discrete mode."""
-    n_value = check_real("n_value", n_value)
-    if n_value < 0.0:
-        raise ValueError(f"n_value must be >= 0, got {n_value!r}")
+    n_value = check_nonnegative("n_value", n_value)
     if config.mode is Mode.DISCRETE and not n_value.is_integer():
-        raise ValueError(
-            f"discrete mode requires an integer counting parameter, got {n_value!r}"
-        )
+        raise ValueError(f"discrete mode requires an integer counting parameter, got {n_value!r}")
     return n_value
 
 
 def smooth_cutoff(config: EncoderConfig, n_value: float) -> int:
-    """Series cutoff for a smooth evaluation at ``n_value``."""
-    floor_needed = math.ceil(n_value) + SMOOTH_TRUNCATION_MARGIN
-    if config.truncation is None:
-        return floor_needed
-    if config.truncation < floor_needed:
-        raise ValueError(
-            f"truncation {config.truncation} is below the required cutoff "
-            f"{floor_needed} for evaluation at N={n_value!r}"
-        )
-    return int(config.truncation)
+    """Last bump index of a smooth evaluation at ``n_value``: floor(N + reach).
+
+    Past the transition's reach every weight is below 2^-56 (``Sigmoid``) or
+    exactly 0 (``Smoothstep``, ``Heaviside``); this is the one place the
+    smooth series is cut.
+
+    Raises:
+        ValueError: not smooth mode, a bad ``n_value``, or a cutoff past ``MAX_ROWS``.
+    """
+    if config.mode is not Mode.SMOOTH:
+        raise ValueError("the smooth cutoff applies to smooth mode only")
+    reach = config.transition.reach
+    end = _check_count(config, n_value) + reach
+    if end > MAX_ROWS:  # checked before floor(), which an infinite reach would overflow
+        raise ValueError(f"N={n_value!r} plus reach {reach:g} exceeds the limit of {MAX_ROWS} rows")
+    return math.floor(end)
 
 
 def term_weights(config: EncoderConfig, n_value: float) -> tuple[np.ndarray, np.ndarray]:
@@ -116,14 +108,12 @@ def term_weights(config: EncoderConfig, n_value: float) -> tuple[np.ndarray, np.
         transition function.
 
     Raises:
-        ValueError: negative or non-finite ``n_value``, a non-integer
-            ``n_value`` in discrete mode, or more than
-            ``coefficients.MAX_ROWS`` indices.
+        ValueError: negative or non-finite ``n_value``, a non-integer ``n_value``
+            in discrete mode, or more than ``coefficients.MAX_ROWS`` indices.
     """
     n_value = _check_count(config, n_value)
     if config.mode is Mode.SMOOTH:
-        n_hi = _check_row_count(smooth_cutoff(config, n_value))
-        ns = np.arange(1, n_hi + 1)
+        ns = np.arange(1, smooth_cutoff(config, n_value) + 1)
         return ns, np.asarray(config.transition(ns - n_value), dtype=float)
     k = math.floor(n_value)
     frac = n_value - k

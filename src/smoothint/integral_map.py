@@ -21,13 +21,7 @@ import numpy as np
 
 from ._validate import check_int, check_real
 from .bumps import Sigmoid
-from .coefficients import (
-    CoefficientFamily,
-    _check_row_count,
-    coefficient,
-    partial_sum,
-    partial_sums,
-)
+from .coefficients import CoefficientFamily, coefficient, partial_sum, partial_sums
 from .encoder import EncoderConfig, Mode, _accumulate, _check_count, smooth_cutoff, term_weights
 
 __all__ = [
@@ -115,7 +109,7 @@ def integral_closed(config: EncoderConfig, n_value: float) -> float:
 
     Discrete mode: scale * S(N).  Fractional mode: scale * (S(floor(N)) +
     frac * a_(floor(N)+1)).  Smooth mode: scale times the transition-weighted
-    coefficient sum up to the truncation cutoff.
+    coefficient sum through :func:`~smoothint.encoder.smooth_cutoff`.
     """
     scale = area_scale(config.delta)
     if config.mode is Mode.SMOOTH:
@@ -153,9 +147,9 @@ def integral_quadrature(
 
     The closed form is exact, so this exists as an independent cross-check.
     To keep the result within 1e-6 of the closed form the sample grid must
-    be dense enough and the domain must reach a few widths past the
-    outermost active bumps; violations raise instead of silently returning
-    an imprecise value.
+    be dense enough and the domain must reach 5 widths past the outermost
+    bumps with weight (in smooth mode, the last one within the transition's
+    reach); violations raise instead of silently returning an imprecise value.
 
     Args:
         config: encoder configuration.
@@ -177,12 +171,10 @@ def integral_quadrature(
             f"{points} points is too sparse for [{t_min}, {t_max}]; "
             f"need at least {_MIN_POINTS_PER_UNIT:g} per unit length"
         )
-    # the last bump center with weight; in smooth mode one center past
-    # ceil(N) still carries a visible transition weight
-    last = math.ceil(n_value) + (1 if config.mode is Mode.SMOOTH else 0)
-    if last >= 1:
+    last_weighted = smooth_cutoff(config, n_value) if config.mode is Mode.SMOOTH else math.ceil(n_value)
+    if last_weighted >= 1:
         margin = _DOMAIN_MARGIN_WIDTHS * config.delta
-        need_lo, need_hi = 1 - margin, last + margin
+        need_lo, need_hi = 1 - margin, last_weighted + margin
         if t_min > need_lo or t_max < need_hi:
             raise ValueError(
                 f"domain [{t_min}, {t_max}] truncates the bump train; "
@@ -203,8 +195,7 @@ def map_derivative_smooth(config: EncoderConfig, n_value: float) -> float:
     if config.mode is not Mode.SMOOTH or not isinstance(config.transition, Sigmoid):
         raise ValueError("derivative requires smooth mode with a Sigmoid transition")
     n_value = _check_count(config, n_value)
-    n_hi = _check_row_count(smooth_cutoff(config, n_value))
-    ns = np.arange(1, n_hi + 1)
+    ns = np.arange(1, smooth_cutoff(config, n_value) + 1)
     # d/dN sigma(n - N) is minus the x-derivative at x = n - N
     gain = -config.transition.derivative(ns - n_value)
     coeffs = config.family.coefficients(ns)

@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._validate import check_int, check_positive, check_real
+from ._validate import check_int, check_nonnegative, check_positive, check_real
 from .coefficients import coefficient, partial_sum
 from .encoder import EncoderConfig
 from .integral_map import IntegralTable, area_scale
@@ -216,11 +216,12 @@ def recover_spline(
     sign-change interval of (spline - target), scanning left to right, is
     rooted to ``tol``.
 
-    Stability means the spline slope at the result is bounded away from
-    zero, so the inversion is locally well conditioned.
+    Stability means |spline slope| at the result exceeds ``stability_epsilon``
+    (a real >= 0), so the inversion is locally well conditioned.
     """
     target = check_real("target", target)
     tol = check_positive("tol", tol)
+    stability_epsilon = check_nonnegative("stability_epsilon", stability_epsilon)
     spline = spline_fit(enumerate(table.values, start=1))
     gap = table.values - target
     knot_hits = np.flatnonzero(np.abs(gap) <= tol)
@@ -269,12 +270,14 @@ def recover_analytic_fractional(
             result is flagged unstable.
 
     Raises:
-        TypeError: ``segment`` is not an integer, or ``target`` not a number.
+        TypeError: ``segment`` is not an integer, or a real is not a number.
         ValueError: ``segment`` < 0, a target non-finite or outside the segment's
-            range, or a slope coefficient of exactly zero (no inverse exists).
+            range, a negative or non-finite ``stability_epsilon``, or a slope
+            coefficient of exactly zero (no inverse exists).
     """
     target = check_real("target", target)
     k = check_int("segment", segment, 0)
+    stability_epsilon = check_nonnegative("stability_epsilon", stability_epsilon)
     scale = area_scale(config.delta)
     slope_coeff = coefficient(config.family, k + 1)
     if slope_coeff == 0.0:
@@ -358,15 +361,14 @@ def noise_sweep(
         List of (amplitude, accuracy) pairs in input order.
 
     Raises:
-        TypeError: ``true_n`` or ``trials`` is not an integer, or a real is not a number.
-        ValueError: ``true_n`` off the table, ``trials`` < 1, or a real out of range or not finite.
+        TypeError: ``true_n``, ``trials`` or ``seed`` is not an integer, or a real is not a number.
+        ValueError: ``true_n`` off the table, ``trials`` < 1, ``seed`` < 0, or a bad real.
     """
     epsilon = check_positive("epsilon", epsilon)
     true_value = table.value_at(true_n)
     trials = check_int("trials", trials, 1)
-    amplitudes = [check_real("noise amplitude", a) for a in amplitudes]
-    if min(amplitudes, default=0.0) < 0.0:
-        raise ValueError(f"noise amplitude must be >= 0, got {min(amplitudes)!r}")
+    seed = check_int("seed", seed, 0)
+    amplitudes = [check_nonnegative("noise amplitude", a) for a in amplitudes]
     earlier = np.sort(table.values[: true_n - 1])
     rng = np.random.default_rng(seed)
     results = []

@@ -2,19 +2,36 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from smoothint import (
     Canonical,
     EncoderConfig,
+    ExpPoly,
+    Generalized,
     Heaviside,
     Mode,
     Sigmoid,
     Smoothstep,
+    Trig,
+    area_scale,
     counter_eval,
     counter_grid,
+    integral_closed,
+    integral_quadrature,
     smooth_cutoff,
     term_weights,
 )
+from smoothint.coefficients import FAMILIES
+
+# one instance of each registered family
+FAMILY_SAMPLES = {
+    "canonical": Canonical(),
+    "generalized": Generalized(0.3, 2.0, 1.5),
+    "exppoly": ExpPoly(2.0),
+    "trig": Trig(),
+}
 
 
 def test_config_defaults():
@@ -34,10 +51,12 @@ def test_config_validation():
         EncoderConfig(family=Canonical(), delta=0.0)
     with pytest.raises(ValueError, match="transition"):
         EncoderConfig(family=Canonical(), transition=Sigmoid())
-    with pytest.raises(ValueError, match="truncation"):
-        EncoderConfig(family=Canonical(), truncation=40)
-    with pytest.raises(ValueError, match="truncation"):
-        EncoderConfig(family=Canonical(), mode=Mode.SMOOTH, truncation=0)
+
+
+@pytest.mark.parametrize("transition", [lambda x: 0.0 * x, "sigmoid", 10.0, Sigmoid])
+def test_transition_must_be_one_of_the_three(transition):
+    with pytest.raises(TypeError, match="^transition must be a Sigmoid, Smoothstep or Heaviside"):
+        EncoderConfig(family=Canonical(), mode=Mode.SMOOTH, transition=transition)
 
 
 def test_term_weights_discrete():
@@ -69,18 +88,26 @@ def test_term_weights_fractional():
 def test_term_weights_smooth():
     config = EncoderConfig(family=Canonical(), mode=Mode.SMOOTH)
     ns, weights = term_weights(config, 4.2)
-    assert ns[-1] == math.ceil(4.2) + 10
+    assert ns[-1] == 8  # floor(4.2 + 56 ln 2 / 10)
     expected = Sigmoid(10.0)(ns - 4.2)
     assert np.array_equal(weights, expected)
 
 
 def test_smooth_cutoff_rules():
     config = EncoderConfig(family=Canonical(), mode=Mode.SMOOTH)
-    assert smooth_cutoff(config, 4.2) == 15
-    fixed = EncoderConfig(family=Canonical(), mode=Mode.SMOOTH, truncation=40)
-    assert smooth_cutoff(fixed, 4.2) == 40
-    with pytest.raises(ValueError, match="below the required cutoff"):
-        smooth_cutoff(fixed, 35.0)
+    assert smooth_cutoff(config, 4.2) == 8  # floor(4.2 + 56 ln 2 / 10)
+    assert Sigmoid(10.0).reach == 56 * math.log(2.0) / 10.0
+    stepped = EncoderConfig(family=Canonical(), mode=Mode.SMOOTH, transition=Smoothstep(0.5))
+    assert smooth_cutoff(stepped, 4.2) == 4
+    assert smooth_cutoff(stepped, 4.5) == 5  # bump 5 sits on the ramp's end, weight 0
+    hard = EncoderConfig(family=Canonical(), mode=Mode.SMOOTH, transition=Heaviside())
+    assert smooth_cutoff(hard, 4.0) == 4
+    assert smooth_cutoff(hard, 4.9) == 4
+    assert smooth_cutoff(hard, 0.5) == 0
+    with pytest.raises(ValueError, match="smooth mode"):
+        smooth_cutoff(EncoderConfig(family=Canonical()), 4.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        smooth_cutoff(config, -1.0)
 
 
 def test_counting_parameter_validation():
@@ -142,7 +169,63 @@ def test_smoothstep_transition_accepted():
         family=Canonical(), mode=Mode.SMOOTH, transition=Smoothstep(halfwidth=0.5)
     )
     ns, weights = term_weights(config, 2.0)
-    # ramp is local: centers below N - 0.5 fully on, above N + 0.5 fully off
+    # ramp is local: centers below N - 0.5 fully on, above N + 0.5 fully off,
+    # so the series ends at floor(N + 0.5)
+    assert np.array_equal(ns, [1, 2])
     assert weights[0] == 1.0
-    assert weights[-1] == 0.0
+    assert config.transition(3 - 2.0) == 0.0
     assert weights[1] == 0.5
+
+
+def _weighted_sum(family, transition, n_value, terms, delta=0.2):
+    """Area of the first ``terms`` gated bumps, with the gates written out by hand."""
+    ns = np.arange(1, terms + 1)
+    x = ns - n_value
+    if isinstance(transition, Sigmoid):
+        weights = np.exp(-np.logaddexp(0.0, transition.sharpness * x))
+    elif isinstance(transition, Smoothstep):
+        u = np.clip((x + transition.halfwidth) / (2.0 * transition.halfwidth), 0.0, 1.0)
+        weights = 1.0 - u * u * (3.0 - 2.0 * u)
+    else:
+        weights = np.where(x <= 0.0, 1.0, 0.0)
+    return area_scale(delta) * math.fsum(weights * family.coefficients(ns))
+
+
+def test_family_samples_cover_the_registry():
+    assert list(FAMILY_SAMPLES) == list(FAMILIES)
+
+
+@given(
+    st.sampled_from(list(FAMILY_SAMPLES)),
+    st.one_of(
+        st.builds(Sigmoid, st.floats(min_value=0.05, max_value=300.0)),
+        st.builds(Smoothstep, st.floats(min_value=0.01, max_value=100.0)),
+        st.just(Heaviside()),
+    ),
+    st.floats(min_value=0.0, max_value=50.0),
+)
+def test_smooth_series_ends_where_the_transition_reaches(kind, transition, n_value):
+    # a thousand more terms past the cutoff add nothing visible
+    family = FAMILY_SAMPLES[kind]
+    config = EncoderConfig(family=family, mode=Mode.SMOOTH, transition=transition)
+    longer = _weighted_sum(family, transition, n_value, smooth_cutoff(config, n_value) + 1000)
+    assert abs(integral_closed(config, n_value) - longer) <= 1e-15
+
+
+@pytest.mark.parametrize("transition", [Sigmoid(0.2), Smoothstep(30.0)], ids=repr)
+def test_slow_transitions_keep_their_whole_series(transition):
+    # the weights at N = 5.3 stay visible far past ceil(N) + 10
+    config = EncoderConfig(family=Canonical(), mode=Mode.SMOOTH, transition=transition)
+    full = _weighted_sum(Canonical(), transition, 5.3, 20_000)
+    assert abs(integral_closed(config, 5.3) - full) <= 1e-15
+    with pytest.raises(ValueError, match="truncates"):
+        integral_quadrature(config, 5.3, 0.0, 8.0, 2000)
+
+
+def test_a_reach_past_the_row_limit_is_refused():
+    config = EncoderConfig(family=Canonical(), mode=Mode.SMOOTH, transition=Sigmoid(5e-324))
+    assert config.transition.reach == math.inf
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        integral_closed(config, 5.3)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        term_weights(config, 0.0)

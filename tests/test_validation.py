@@ -91,11 +91,8 @@ INTEGERS = {
     "noise_sweep-trials": (
         lambda v: noise_sweep(TABLE, 8, 0.005, [0.0], trials=v), 5, "trials", [0]
     ),
-    "EncoderConfig-truncation": (
-        lambda v: EncoderConfig(family=Canonical(), mode=Mode.SMOOTH, truncation=v),
-        40,
-        "truncation",
-        [0],
+    "noise_sweep-seed": (
+        lambda v: noise_sweep(TABLE, 8, 0.005, [0.0], trials=5, seed=v), 7, "seed", [-1]
     ),
     "isotropic-dimension": (
         lambda v: MultiEncoderConfig.isotropic(Canonical(), v), 2, "dimension", [0]
@@ -189,6 +186,15 @@ REALS = {
     "recover_spline-target": (lambda v: recover_spline(TABLE, v), 0.028, "target", []),
     "recover_spline-tol": (
         lambda v: recover_spline(TABLE, 0.028, tol=v), 1e-9, "tol", [0.0, -1e-9]
+    ),
+    "recover_spline-stability_epsilon": (
+        lambda v: recover_spline(TABLE, 0.028, stability_epsilon=v), 0.0, "stability_epsilon", [-1.0]
+    ),
+    "recover_analytic_fractional-stability_epsilon": (
+        lambda v: recover_analytic_fractional(FRACTIONAL, SEGMENT_3_TARGET, 3, stability_epsilon=v),
+        0.0,
+        "stability_epsilon",
+        [-1.0, -1e-300],
     ),
     "recover_analytic_fractional-target": (
         lambda v: recover_analytic_fractional(FRACTIONAL, v, 3), SEGMENT_3_TARGET, "target", [0.5]
