@@ -128,7 +128,9 @@ class Heaviside:
     """Hard step: 1 for x <= 0, 0 for x > 0.
 
     The value at exactly 0 is 1 so that at integer N the gated sum picks up
-    bumps 1..N inclusive and reproduces the discrete evaluation exactly.
+    bumps 1..N inclusive, and the smooth bump train equals the discrete one
+    bit for bit.  The smooth integral sums its terms in another order than
+    the discrete one, so it may differ from it in the last bits.
     """
 
     reach = 0.0  # the weight is exactly 0 for every x > 0

@@ -39,7 +39,7 @@ from .recovery import (
     recover_spline,
     recover_threshold,
 )
-from .tableio import load_table, save_table_csv, save_table_json
+from .tableio import load_table, save_table_csv, save_table_json, write_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -80,31 +80,29 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(minimum: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+
+    return integer
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one value")
-    return values
+def _list_of(convert):
+    """Converter for a comma-separated list of at least one ``convert``-ed value."""
 
+    def comma_list(text: str) -> list:
+        try:
+            values = [convert(part) for part in text.split(",") if part.strip() != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {convert.__name__}s, got {text!r}")
+        if not values:
+            raise argparse.ArgumentTypeError("expected at least one value")
+        return values
 
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one value")
-    return values
+    return comma_list
 
 
 def _range_pair(text: str) -> tuple[float, float]:
@@ -128,17 +126,12 @@ def _add_family_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beta", type=_finite_float, default=1.0, help="generalized: alternating weight")
     parser.add_argument("--gamma", type=_finite_float, default=1.0, help="generalized: decay exponent")
     parser.add_argument("--p", type=_finite_float, default=1.0, help="exppoly: decay exponent")
+    parser.add_argument("--delta", type=_positive_float, default=0.2, help="bump width (default 0.2)")
 
 
 def _family_from_args(args: argparse.Namespace):
     cls = FAMILIES[args.family]
     return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
-
-
-def _write_lines(path: str, lines) -> None:
-    """Write each line of an iterable as it comes, ending every one with a newline."""
-    with open(path, "w", newline="") as handle:
-        handle.writelines(line + "\n" for line in lines)
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -185,9 +178,6 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 def _cmd_plot_data(args: argparse.Namespace) -> int:
     family = _family_from_args(args)
     lines = ["x,y"]
-    if args.what in ("counter", "smooth") and args.points < 2:
-        print("error: --points must be >= 2", file=sys.stderr)
-        return EXIT_USAGE
     if args.what == "counter":
         if args.n is None:
             print("error: --n is required for --what counter", file=sys.stderr)
@@ -210,15 +200,12 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
         lines += [f"{n},{v:.17g}" for n, v in enumerate(sums, start=1)]
     else:  # smooth
         t_lo, t_hi = args.range if args.range else (0.0, 10.0)
-        if t_lo < 0.0:
-            print("error: the smooth map is defined for N >= 0", file=sys.stderr)
-            return EXIT_USAGE
         config = EncoderConfig(
             family=family, delta=args.delta, mode=Mode.SMOOTH, transition=Sigmoid(args.sharpness)
         )
         for n_value in np.linspace(t_lo, t_hi, args.points).tolist():
             lines.append(f"{n_value:.17g},{integral_closed(config, n_value):.17g}")
-    _write_lines(args.out, lines)
+    write_lines(args.out, lines)
     print(f"wrote {len(lines) - 1} rows to {args.out}")
     return EXIT_OK
 
@@ -235,7 +222,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     lines = ["amplitude,accuracy"]
     lines += [f"{amplitude:.17g},{accuracy:.17g}" for amplitude, accuracy in results]
-    _write_lines(args.out, lines)
+    write_lines(args.out, lines)
     print(f"wrote {len(results)} rows to {args.out}")
     return EXIT_OK
 
@@ -255,14 +242,10 @@ def _grid_lines(grid):
 
 def _cmd_multidim(args: argparse.Namespace) -> int:
     family = _family_from_args(args)
-    limits = args.n_max
-    if any(limit < 1 for limit in limits):
-        print("error: every axis limit must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    config = MultiEncoderConfig.isotropic(family, len(limits), delta=args.delta)
-    grid = integral_multi(config, [np.arange(1, limit + 1) for limit in limits])
+    config = MultiEncoderConfig.isotropic(family, len(args.n_max), delta=args.delta)
+    grid = integral_multi(config, [np.arange(1, limit + 1) for limit in args.n_max])
     header = ",".join(f"N{i}" for i in range(1, config.dimension + 1)) + ",I"
-    _write_lines(args.out, itertools.chain([header], _grid_lines(grid)))
+    write_lines(args.out, itertools.chain([header], _grid_lines(grid)))
     print(f"wrote {grid.size} rows to {args.out}")
     return EXIT_OK
 
@@ -276,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = commands.add_parser("table", help="tabulate the integral map and save it")
     _add_family_arguments(table)
-    table.add_argument("--delta", type=_positive_float, default=0.2, help="bump width (default 0.2)")
-    table.add_argument("--n-max", type=_positive_int, required=True, help="number of rows")
+    table.add_argument("--n-max", type=_int_at_least(1), required=True, help="number of rows")
     table.add_argument("--format", choices=["json", "csv"], default="json", help="output form")
     table.add_argument("--out", required=True, help="output file path")
     table.set_defaults(handler=_cmd_table)
@@ -307,38 +289,42 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="which trace to emit",
     )
-    plot_data.add_argument("--delta", type=_positive_float, default=0.2, help="bump width (default 0.2)")
     plot_data.add_argument("--n", type=_finite_float, default=None, help="counting parameter or row count")
     plot_data.add_argument("--range", type=_range_pair, default=None, help="sample range lo:hi")
-    plot_data.add_argument("--points", type=_positive_int, default=1000, help="sample count (default 1000)")
+    plot_data.add_argument("--points", type=_int_at_least(2), default=1000, help="sample count (default 1000)")
     plot_data.add_argument("--sharpness", type=_positive_float, default=10.0, help="smooth transition sharpness")
     plot_data.add_argument("--out", required=True, help="output CSV path")
     plot_data.set_defaults(handler=_cmd_plot_data)
 
     sweep = commands.add_parser("sweep", help="noise-robustness sweep")
     sweep.add_argument("--table", required=True, help="saved table file (JSON or CSV)")
-    sweep.add_argument("--true-n", type=_positive_int, required=True, help="row whose value is perturbed")
+    sweep.add_argument("--true-n", type=_int_at_least(1), required=True, help="row whose value is perturbed")
     sweep.add_argument("--epsilon", type=_positive_float, required=True, help="match tolerance")
-    sweep.add_argument("--amplitudes", type=_float_list, required=True, help="comma-separated noise amplitudes")
-    sweep.add_argument("--trials", type=_positive_int, default=100, help="draws per amplitude (default 100)")
+    sweep.add_argument("--amplitudes", type=_list_of(float), required=True, help="comma-separated noise amplitudes")
+    sweep.add_argument("--trials", type=_int_at_least(1), default=100, help="draws per amplitude (default 100)")
     sweep.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
     sweep.add_argument("--out", required=True, help="output CSV path")
     sweep.set_defaults(handler=_cmd_sweep)
 
     multidim = commands.add_parser("multidim", help="emit a separable integral grid as CSV")
     _add_family_arguments(multidim)
-    multidim.add_argument("--delta", type=_positive_float, default=0.2, help="bump width (default 0.2)")
-    multidim.add_argument("--n-max", type=_int_list, required=True, help="per-axis limits, e.g. 30,30")
+    multidim.add_argument(
+        "--n-max", type=_list_of(_int_at_least(1)), required=True, help="per-axis limits, e.g. 30,30"
+    )
     multidim.add_argument("--out", required=True, help="output CSV path")
     multidim.set_defaults(handler=_cmd_multidim)
 
     return parser
 
 
+# Built once per process: building costs about a millisecond, more than
+# parsing and running a small command.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_bind_negative_values(sys.argv[1:] if argv is None else list(argv)))
+        args = _PARSER.parse_args(_bind_negative_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

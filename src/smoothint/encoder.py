@@ -26,7 +26,7 @@ from ._validate import check_int, check_nonnegative, check_positive, check_real
 from .bumps import Sigmoid, TransitionFunction
 from .coefficients import MAX_ROWS, CoefficientFamily, _check_row_count
 
-__all__ = ["Mode", "EncoderConfig", "counter_eval", "counter_grid"]
+__all__ = ["Mode", "EncoderConfig", "counter_eval", "counter_grid", "smooth_cutoff", "term_weights"]
 
 # A bump further than this many widths from t contributes less than 1e-55
 # of its amplitude, far below every tolerance in the package (the skip

@@ -45,6 +45,7 @@ __all__ = [
     "select_epsilon",
     "perturbation_margin",
     "noise_sweep",
+    "DEFAULT_STABILITY_EPSILON",
 ]
 
 # Below this coefficient magnitude the fractional segment is too flat for a
@@ -214,7 +215,8 @@ def recover_spline(
     in the steep first interval, so without this pass an exactly tabulated
     value would be shadowed by that crossing).  Otherwise the first
     sign-change interval of (spline - target), scanning left to right, is
-    rooted to ``tol``.
+    rooted to ``tol``.  With neither a knot nor a sign change, the result is
+    ``None`` and no spline is fitted.
 
     Stability means |spline slope| at the result exceeds ``stability_epsilon``
     (a real >= 0), so the inversion is locally well conditioned.
@@ -222,15 +224,15 @@ def recover_spline(
     target = check_real("target", target)
     tol = check_positive("tol", tol)
     stability_epsilon = check_nonnegative("stability_epsilon", stability_epsilon)
-    spline = spline_fit(enumerate(table.values, start=1))
     gap = table.values - target
     knot_hits = np.flatnonzero(np.abs(gap) <= tol)
+    brackets = np.flatnonzero(gap[:-1] * gap[1:] < 0.0)
+    if knot_hits.size == 0 and brackets.size == 0:
+        return None
+    spline = spline_fit(enumerate(table.values, start=1))
     if knot_hits.size:
         n_star = float(knot_hits[0] + 1)
     else:
-        brackets = np.flatnonzero(gap[:-1] * gap[1:] < 0.0)
-        if brackets.size == 0:
-            return None
         i = int(brackets[0])
         n_star = find_root_bracketed(
             lambda x: spline_eval(spline, x) - target,

@@ -17,6 +17,7 @@ All files are written with newline-only line endings.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "save_table_csv",
     "load_table_csv",
     "load_table",
+    "write_lines",
 ]
 
 FORMAT_VERSION = 1
@@ -66,6 +68,12 @@ def _check_row_numbers(ns: np.ndarray, path) -> None:
         raise ValueError(f"rows of {path} must run 1..n_max in order with no gaps")
 
 
+def write_lines(path, lines) -> None:
+    """Write each line of an iterable as it comes, ending every one with a newline."""
+    with open(path, "w", newline="") as handle:
+        handle.writelines(line + "\n" for line in lines)
+
+
 def save_table_json(table: IntegralTable, path) -> None:
     """Write a table with its metadata; requires known provenance."""
     if table.family is None or table.delta is None:
@@ -79,9 +87,7 @@ def save_table_json(table: IntegralTable, path) -> None:
         },
         "rows": table.rows,
     }
-    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
-    with open(path, "w", newline="") as handle:
-        handle.write(text)
+    write_lines(path, [json.dumps(document, indent=2, sort_keys=True)])
 
 
 def load_table_json(path) -> IntegralTable:
@@ -118,9 +124,7 @@ def load_table_json(path) -> IntegralTable:
 
 def save_table_csv(table: IntegralTable, path) -> None:
     """Write rows as ``N,I`` lines at 17 significant digits."""
-    lines = ["N,I"] + [f"{n},{value:.17g}" for n, value in table.rows]
-    with open(path, "w", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+    write_lines(path, itertools.chain(["N,I"], (f"{n},{value:.17g}" for n, value in table.rows)))
 
 
 def load_table_csv(path) -> IntegralTable:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from smoothint import Canonical, ExpPoly, Generalized, MultiEncoderConfig, Trig, integral_multi
+from smoothint import cli
 from smoothint.cli import build_parser, main
 from smoothint.coefficients import FAMILIES
 
@@ -22,6 +23,16 @@ def table_path(tmp_path, capsys):
     assert main(["table", "--n-max", "30", "--out", str(path)]) == 0
     capsys.readouterr()  # drop the fixture's own status line
     return path
+
+
+def test_main_builds_no_parser_per_call(capsys, tmp_path, monkeypatch):
+    def fail():
+        raise AssertionError("a parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", fail)
+    code, out, _ = run(capsys, "table", "--n-max", "3", "--out", str(tmp_path / "t.json"))
+    assert code == 0
+    assert "3 rows" in out
 
 
 def test_table_reports_row_count(capsys, tmp_path):
@@ -199,6 +210,25 @@ def test_plot_data_requires_n_for_counter(capsys, tmp_path):
     assert code == 2
     assert "--n is required" in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["multidim", "--n-max", "3,0"],
+        ["plot-data", "--what", "smooth", "--points", "1"],
+        ["plot-data", "--what", "counter", "--n", "8", "--points", "1"],
+        ["plot-data", "--what", "smooth", "--range", "-1:2"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_counts_are_exit_2(capsys, tmp_path, argv):
+    path = tmp_path / "out.csv"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+    assert not path.exists()
 
 
 def test_sweep_outputs_accuracy_column(capsys, tmp_path, table_path):

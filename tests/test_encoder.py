@@ -155,13 +155,17 @@ def test_grid_validation(canonical_config):
         counter_grid(canonical_config, 3, 0.0, 1.0, 1)
 
 
-def test_heaviside_smooth_equals_discrete(canonical_config):
+@pytest.mark.parametrize("kind", list(FAMILY_SAMPLES))
+def test_heaviside_smooth_equals_discrete(kind):
     # weight 1 through the N-th center, 0 beyond: the discrete train exactly
-    smooth = EncoderConfig(family=Canonical(), mode=Mode.SMOOTH, transition=Heaviside())
-    _, discrete_values = counter_grid(canonical_config, 4, 0.0, 8.0, 101)
-    _, smooth_values = counter_grid(smooth, 4.0, 0.0, 8.0, 101)
-    assert np.array_equal(discrete_values, smooth_values)
-    assert counter_eval(smooth, 4.0, 3.7) == counter_eval(canonical_config, 4, 3.7)
+    family = FAMILY_SAMPLES[kind]
+    discrete = EncoderConfig(family=family)
+    smooth = EncoderConfig(family=family, mode=Mode.SMOOTH, transition=Heaviside())
+    for n in range(41):
+        _, discrete_values = counter_grid(discrete, n, 0.0, n + 4.0, 101)
+        _, smooth_values = counter_grid(smooth, float(n), 0.0, n + 4.0, 101)
+        assert np.array_equal(discrete_values, smooth_values)
+        assert counter_eval(smooth, float(n), n - 0.3) == counter_eval(discrete, n, n - 0.3)
 
 
 def test_smoothstep_transition_accepted():

@@ -207,8 +207,22 @@ def test_spline_roots_the_first_crossing(table30):
     assert result.residual < 1e-12
 
 
-def test_spline_none_when_level_is_never_reached(table30):
+TWO_ROWS = IntegralTable(delta=None, family=None, values=np.array([0.1, 0.05]))
+
+
+def test_spline_none_when_level_is_never_reached(table30, monkeypatch):
+    def fail(points):
+        raise AssertionError("the spline was fitted")
+
+    monkeypatch.setattr("smoothint.recovery.spline_fit", fail)
     assert recover_spline(table30, 0.5, tol=1e-9) is None
+    # decided before the fit, so a table too short to fit is no obstacle
+    assert recover_spline(TWO_ROWS, 0.5) is None
+
+
+def test_spline_on_a_table_too_short_to_fit():
+    with pytest.raises(ValueError, match="at least 3 points"):
+        recover_spline(TWO_ROWS, 0.07)
 
 
 def test_spline_stability_threshold(table30):
