@@ -17,7 +17,6 @@ opened, so a failed invocation never leaves a partial file behind.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import math
@@ -27,7 +26,7 @@ import sys
 import numpy as np
 
 from .bumps import Sigmoid
-from .coefficients import FAMILIES, partial_sums
+from .coefficients import FAMILIES, _check_row_count, partial_sums
 from .encoder import EncoderConfig, Mode, counter_grid
 from .integral_map import area_scale, build_table, integral_closed
 from .multidim import MultiEncoderConfig, integral_multi
@@ -39,7 +38,7 @@ from .recovery import (
     recover_spline,
     recover_threshold,
 )
-from .tableio import load_table, save_table_csv, save_table_json, write_lines
+from .tableio import family_from_descriptor, load_table, save_table_csv, save_table_json, write_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -130,8 +129,7 @@ def _add_family_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _family_from_args(args: argparse.Namespace):
-    cls = FAMILIES[args.family]
-    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
+    return family_from_descriptor({**vars(args), "kind": args.family})
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -203,7 +201,7 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
         config = EncoderConfig(
             family=family, delta=args.delta, mode=Mode.SMOOTH, transition=Sigmoid(args.sharpness)
         )
-        for n_value in np.linspace(t_lo, t_hi, args.points).tolist():
+        for n_value in np.linspace(t_lo, t_hi, _check_row_count(args.points)).tolist():
             lines.append(f"{n_value:.17g},{integral_closed(config, n_value):.17g}")
     write_lines(args.out, lines)
     print(f"wrote {len(lines) - 1} rows to {args.out}")

@@ -161,6 +161,11 @@ CoefficientFamily = Canonical | Generalized | ExpPoly | Trig
 FAMILIES = {cls.__name__.lower(): cls for cls in typing.get_args(CoefficientFamily)}
 
 
+def _check_family(family) -> None:
+    if not isinstance(family, CoefficientFamily):
+        raise TypeError(f"family must be a CoefficientFamily, got {family!r}")
+
+
 @dataclass(frozen=True)
 class PartialSum:
     """Running sum of the first ``n`` coefficients."""

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._validate import check_int, check_nonnegative, check_positive, check_real
 from .bumps import Sigmoid, TransitionFunction
-from .coefficients import MAX_ROWS, CoefficientFamily, _check_row_count
+from .coefficients import MAX_ROWS, CoefficientFamily, _check_family, _check_row_count
 
 __all__ = ["Mode", "EncoderConfig", "counter_eval", "counter_grid", "smooth_cutoff", "term_weights"]
 
@@ -59,6 +59,7 @@ class EncoderConfig:
     transition: TransitionFunction | None = field(default=None)
 
     def __post_init__(self) -> None:
+        _check_family(self.family)
         check_positive("delta", self.delta)
         if not isinstance(self.mode, Mode):
             raise TypeError(f"mode must be a Mode, got {self.mode!r}")
@@ -174,7 +175,7 @@ def counter_grid(
         config: encoder configuration.
         n_value: counting parameter.
         t_min, t_max: inclusive sample range, t_min < t_max.
-        points: number of samples, >= 2.
+        points: number of samples, 2..``MAX_ROWS``.
 
     Returns:
         ``(ts, values)`` arrays of equal length; ``values[i]`` equals
@@ -182,10 +183,10 @@ def counter_grid(
 
     Raises:
         TypeError: ``points`` is not an integer, or a real is not a number.
-        ValueError: a non-finite real, t_min >= t_max, or ``points`` < 2.
+        ValueError: a non-finite real, t_min >= t_max, or ``points`` outside 2..``MAX_ROWS``.
     """
     t_min, t_max = check_real("t_min", t_min), check_real("t_max", t_max)
     if t_min >= t_max:
         raise ValueError(f"need t_min < t_max, got [{t_min!r}, {t_max!r}]")
-    ts = np.linspace(t_min, t_max, check_int("points", points, 2))
+    ts = np.linspace(t_min, t_max, _check_row_count(check_int("points", points, 2)))
     return ts, _accumulate(config, n_value, ts)

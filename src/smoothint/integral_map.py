@@ -21,7 +21,7 @@ import numpy as np
 
 from ._validate import check_int, check_real
 from .bumps import Sigmoid
-from .coefficients import CoefficientFamily, coefficient, partial_sum, partial_sums
+from .coefficients import CoefficientFamily, _check_row_count, coefficient, partial_sum, partial_sums
 from .encoder import EncoderConfig, Mode, _accumulate, _check_count, smooth_cutoff, term_weights
 
 __all__ = [
@@ -155,17 +155,17 @@ def integral_quadrature(
         config: encoder configuration.
         n_value: counting parameter.
         t_min, t_max: integration limits, t_min < t_max.
-        points: trapezoid sample count, at least 100 per unit of length.
+        points: trapezoid sample count, at least 100 per unit of length, at most ``MAX_ROWS``.
 
     Raises:
         TypeError: ``points`` is not an integer, or a real is not a number.
-        ValueError: a non-finite real, t_min >= t_max, too few ``points``, or a truncated domain.
+        ValueError: a non-finite real, t_min >= t_max, too few or too many ``points``, or a truncated domain.
     """
     n_value = _check_count(config, n_value)
     t_min, t_max = check_real("t_min", t_min), check_real("t_max", t_max)
     if t_min >= t_max:
         raise ValueError(f"need t_min < t_max, got [{t_min!r}, {t_max!r}]")
-    points = check_int("points", points, 2)
+    points = _check_row_count(check_int("points", points, 2))
     if points < _MIN_POINTS_PER_UNIT * (t_max - t_min):
         raise ValueError(
             f"{points} points is too sparse for [{t_min}, {t_max}]; "

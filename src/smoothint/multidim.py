@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validate import check_int, check_positive, check_real
-from .coefficients import CoefficientFamily, partial_sums
+from .coefficients import CoefficientFamily, _check_family, partial_sums
 from .encoder import EncoderConfig
 from .integral_map import build_table
 from .recovery import recover_match
@@ -52,6 +52,8 @@ class MultiEncoderConfig:
         object.__setattr__(self, "families", families)
         if len(families) < 1:
             raise ValueError("need at least one axis")
+        for family in families:
+            _check_family(family)
         check_positive("delta", self.delta)
 
     @property

@@ -93,10 +93,10 @@ def save_table_json(table: IntegralTable, path) -> None:
 def load_table_json(path) -> IntegralTable:
     """Load a JSON table, checking its provenance.
 
-    The rows must run 1..n_max with n_max as declared in the meta block,
-    and their values must agree with the closed form of the declared family
-    and width (rtol = atol = 1e-12), so an edited file cannot pose as that
-    family's table.
+    The row numbers and n_max must be JSON integers, the rows must run
+    1..n_max with n_max as declared in the meta block, and their values must
+    agree with the closed form of the declared family and width (rtol = atol
+    = 1e-12), so an edited file cannot pose as that family's table.
     """
     with open(path) as handle:
         document = json.load(handle)
@@ -106,11 +106,14 @@ def load_table_json(path) -> IntegralTable:
             raise ValueError(f"unsupported format version {meta['format_version']!r}")
         family = family_from_descriptor(meta["family"])
         delta = float(meta["delta"])
-        n_max = int(meta["n_max"])
+        n_max = meta["n_max"]
         rows = document["rows"]
-        ns = np.array([row[0] for row in rows], dtype=int)
+        ns = [row[0] for row in rows]
+        if type(n_max) is not int or not set(map(type, ns)) <= {int}:  # exact type: refuses true and 1.0
+            raise ValueError(f"meta.n_max and the row numbers of {path} must be integers")
+        ns = np.array(ns, dtype=int)
         values = np.array([row[1] for row in rows], dtype=float)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed table file {path}: {exc}") from exc
     _check_row_numbers(ns, path)
     if n_max != ns.size:

@@ -311,6 +311,22 @@ def test_table_refuses_row_counts_over_the_cap(capsys, tmp_path, monkeypatch, fm
     assert not path.exists()
 
 
+@pytest.mark.parametrize("what", [["counter", "--n", "8"], ["smooth"]], ids=lambda w: w[0])
+def test_plot_data_refuses_point_counts_over_the_cap(capsys, tmp_path, monkeypatch, what):
+    def fail(*args, **kwargs):
+        raise AssertionError("the samples were allocated")
+
+    monkeypatch.setattr(np, "linspace", fail)
+    path = tmp_path / "out.csv"
+    code, out, err = run(
+        capsys, "plot-data", "--what", *what, "--points", "1000000000", "--out", str(path)
+    )
+    assert code == 2
+    assert out == ""
+    assert "exceeds the limit of 10000000 rows" in err
+    assert not path.exists()
+
+
 def test_generalized_family_flags(capsys, tmp_path):
     path = tmp_path / "g.json"
     code, _, _ = run(

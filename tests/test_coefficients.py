@@ -16,7 +16,9 @@ from smoothint import (
     Trig,
     build_table,
     coefficient,
+    counter_grid,
     integral_closed,
+    integral_quadrature,
     map_derivative_smooth,
     partial_sum,
     partial_sums,
@@ -243,6 +245,8 @@ TOO_MANY = [
     lambda: integral_closed(EncoderConfig(family=Canonical(), mode=Mode.SMOOTH), 1e9),
     lambda: map_derivative_smooth(EncoderConfig(family=Canonical(), mode=Mode.SMOOTH), 1e9),
     lambda: recover_multi(MultiEncoderConfig.isotropic(Canonical(), 2), 10**9, 1e-3),
+    lambda: counter_grid(CANONICAL, 3, 0.0, 5.0, 10**9),
+    lambda: integral_quadrature(CANONICAL, 3, -1.0, 5.0, 10**9),
 ]
 
 
@@ -250,6 +254,7 @@ TOO_MANY = [
 def test_large_row_counts_are_refused_before_allocating(monkeypatch, call):
     monkeypatch.setattr(np, "arange", _refuse)
     monkeypatch.setattr(np, "ones", _refuse)
+    monkeypatch.setattr(np, "linspace", _refuse)
     with pytest.raises(ValueError, match="exceeds the limit of 10000000 rows"):
         call()
 
@@ -263,3 +268,6 @@ def test_row_cap_is_inclusive(monkeypatch):
         partial_sums(Canonical(), 13)
     with pytest.raises(ValueError, match="13 rows exceeds the limit of 12 rows"):
         term_weights(fractional, 12.5)
+    assert counter_grid(fractional, 1.5, 0.0, 3.0, 12)[0].size == 12
+    with pytest.raises(ValueError, match="13 rows exceeds the limit of 12 rows"):
+        counter_grid(fractional, 1.5, 0.0, 3.0, 13)

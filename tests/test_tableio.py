@@ -135,6 +135,36 @@ def test_json_row_count_must_match_meta(table30, tmp_path):
         load_table_json(path)
 
 
+def _fractional_numbers(document):
+    document["meta"]["n_max"] = 5.9
+    document["rows"] = [[n + 0.5, v] for n, v in document["rows"]]
+
+
+def _true_numbers(document):
+    document["meta"]["n_max"] = True
+    document["rows"] = [[True, document["rows"][0][1]]]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _fractional_numbers,
+        _true_numbers,
+        lambda d: d["meta"].update(n_max=5.0),
+        lambda d: d["rows"][2].__setitem__(0, 3.0),
+        lambda d: d["rows"][2].__setitem__(0, "3"),
+        lambda d: d["rows"][4].__setitem__(0, 10**30),
+    ],
+    ids=["fractional", "true", "whole-float-n_max", "whole-float-row", "string-row", "huge-row"],
+)
+def test_json_row_numbers_and_n_max_must_be_integers(tmp_path, edit):
+    table5 = build_table(EncoderConfig(family=Canonical(), delta=0.2), 5)
+    path = _edited_json(table5, tmp_path / "t.json", edit)
+    with pytest.raises(ValueError) as excinfo:
+        load_table_json(path)
+    assert str(path) in str(excinfo.value)
+
+
 def test_json_with_a_negative_width_is_rejected(table30, tmp_path):
     # negated rows are the closed form for delta = -0.2, but no bump has
     # a negative width

@@ -282,6 +282,23 @@ def test_real_argument_accepts_python_and_numpy_reals_and_integers(call, name, v
     call(value)
 
 
+FAMILY_TAKERS = {
+    "EncoderConfig": lambda f: EncoderConfig(family=f),
+    "MultiEncoderConfig": lambda f: MultiEncoderConfig((f,)),
+    "MultiEncoderConfig-second-axis": lambda f: MultiEncoderConfig((Canonical(), f)),
+    "isotropic": lambda f: MultiEncoderConfig.isotropic(f, 2),
+}
+
+
+@pytest.mark.parametrize("make", FAMILY_TAKERS.values(), ids=FAMILY_TAKERS.keys())
+@pytest.mark.parametrize(
+    "family", ["canonical", None, Canonical, 0.5], ids=["str", "None", "class", "float"]
+)
+def test_family_of_a_wrong_type_is_a_type_error(make, family):
+    with pytest.raises(TypeError, match="^family must be a CoefficientFamily"):
+        make(family)
+
+
 def test_same_results_from_numpy_scalars():
     assert partial_sums(Canonical(), np.int64(40)).tolist() == partial_sums(Canonical(), 40).tolist()
     assert recover_match(TABLE, np.float64(0.028), np.float64(0.005)) == recover_match(
