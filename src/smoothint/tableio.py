@@ -2,16 +2,25 @@
 
 Two on-disk forms:
 
-* JSON: a meta block (bump width, coefficient family descriptor, row count,
-  format version) plus the rows.  Floats are written with Python's shortest
-  round-trip repr, so save, load, save produces byte-identical files.
-  Loading checks the rows against the closed form of the declared family
-  and width.
+* JSON: the layout of ``json.dumps(document, indent=2, sort_keys=True)``:
+  a meta block (bump width, coefficient family descriptor, row count,
+  format version) and then the rows, each row a two-line array::
+
+      [
+        7,
+        -0.0123...
+      ]
+
+  The width and the family parameters are written as floats, the form the
+  loader returns, and every float with Python's shortest round-trip repr, so
+  save, load, save produces byte-identical files.  Loading checks the rows
+  against the closed form of the declared family and width.
 * CSV: header ``N,I`` and one row per line at 17 significant digits, which
   is enough to reproduce every double exactly.  The CSV form carries no
   metadata, so tables loaded from it have no family or width attached.
 
-All files are written with newline-only line endings.
+All files are written with newline-only line endings.  A load reads its file
+once.
 """
 
 from __future__ import annotations
@@ -19,9 +28,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import typing
 
 import numpy as np
 
+from ._validate import check_real
 from .coefficients import FAMILIES, CoefficientFamily, partial_sums
 from .encoder import EncoderConfig
 from .integral_map import IntegralTable, area_scale
@@ -42,30 +53,45 @@ FORMAT_VERSION = 1
 
 
 def family_descriptor(family: CoefficientFamily) -> dict:
-    """JSON-ready tagged description of a coefficient family."""
+    """JSON-ready tagged description of a coefficient family, parameters as floats."""
     kind = next((kind for kind, cls in FAMILIES.items() if isinstance(family, cls)), None)
     if kind is None:
         raise TypeError(f"unknown coefficient family {type(family).__name__}")
     params = dataclasses.fields(FAMILIES[kind])
-    return {"kind": kind, **{f.name: getattr(family, f.name) for f in params}}
+    return {"kind": kind, **{f.name: float(getattr(family, f.name)) for f in params}}
 
 
 def family_from_descriptor(descriptor: dict) -> CoefficientFamily:
-    """Inverse of :func:`family_descriptor`."""
+    """Inverse of :func:`family_descriptor`.
+
+    Raises:
+        TypeError: a parameter is not a real number (``true`` and ``"1"`` are not).
+        ValueError: the descriptor is malformed, its kind unknown, or a
+            parameter out of its family's range.
+    """
     if not isinstance(descriptor, dict) or "kind" not in descriptor:
         raise ValueError(f"malformed family descriptor: {descriptor!r}")
     kind = descriptor["kind"]
     cls = FAMILIES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown family kind {kind!r}")
-    return cls(**{f.name: float(descriptor[f.name]) for f in dataclasses.fields(cls)})
+    return cls(**{f.name: check_real(f.name, descriptor[f.name]) for f in dataclasses.fields(cls)})
 
 
 def _check_row_numbers(ns: np.ndarray, path) -> None:
     if ns.size == 0:
         raise ValueError(f"{path} contains no rows")
     if not np.array_equal(ns, np.arange(1, ns.size + 1)):
-        raise ValueError(f"rows of {path} must run 1..n_max in order with no gaps")
+        raise _gap_error(path)
+
+
+def _gap_error(path) -> ValueError:
+    return ValueError(f"rows of {path} must run 1..n_max in order with no gaps")
+
+
+def _read(path) -> str:
+    with open(path) as handle:
+        return handle.read()
 
 
 def write_lines(path, lines) -> None:
@@ -75,37 +101,50 @@ def write_lines(path, lines) -> None:
 
 
 def save_table_json(table: IntegralTable, path) -> None:
-    """Write a table with its metadata; requires known provenance."""
+    """Write a table with its metadata; requires known provenance.
+
+    The bytes are those of ``json.dumps(document, indent=2, sort_keys=True)``.
+    Only the meta block goes through ``json``, whose indenting encoder runs
+    in pure Python; each row is one f-string, and ``repr`` is the text
+    ``json`` writes for a finite float.
+    """
     if table.family is None or table.delta is None:
         raise ValueError("table has no family/width metadata; save it as CSV instead")
-    document = {
-        "meta": {
-            "delta": table.delta,
-            "family": family_descriptor(table.family),
-            "n_max": table.n_max,
-            "format_version": FORMAT_VERSION,
-        },
-        "rows": table.rows,
+    meta = {
+        "delta": float(table.delta),
+        "family": family_descriptor(table.family),
+        "n_max": table.n_max,
+        "format_version": FORMAT_VERSION,
     }
-    write_lines(path, [json.dumps(document, indent=2, sort_keys=True)])
+    meta_text = json.dumps({"meta": meta}, indent=2, sort_keys=True)
+    rows_text = ",\n".join([f"    [\n      {n},\n      {value!r}\n    ]" for n, value in table.rows])
+    # "rows" sorts after "meta", so it goes where the meta-only document closes
+    write_lines(path, [meta_text.removesuffix("\n}") + ",", '  "rows": [', rows_text, "  ]", "}"])
 
 
 def load_table_json(path) -> IntegralTable:
     """Load a JSON table, checking its provenance.
 
-    The row numbers and n_max must be JSON integers, the rows must run
-    1..n_max with n_max as declared in the meta block, and their values must
-    agree with the closed form of the declared family and width (rtol = atol
-    = 1e-12), so an edited file cannot pose as that family's table.
+    The row numbers, n_max and the format version must be JSON integers, the
+    width and the family parameters JSON numbers.  The rows must run 1..n_max
+    with n_max as declared in the meta block, and their values must agree
+    with the closed form of the declared family and width (rtol = atol =
+    1e-12), so an edited file cannot pose as that family's table.
     """
-    with open(path) as handle:
-        document = json.load(handle)
+    return _parse_json(_read(path), path)
+
+
+def _parse_json(text: str, path) -> IntegralTable:
+    document = json.loads(text)
     try:
         meta = document["meta"]
-        if meta["format_version"] != FORMAT_VERSION:
-            raise ValueError(f"unsupported format version {meta['format_version']!r}")
+        version = meta["format_version"]
+        if type(version) is not int:
+            raise TypeError(f"meta.format_version must be an integer, got {version!r}")
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported format version {version!r}")
         family = family_from_descriptor(meta["family"])
-        delta = float(meta["delta"])
+        delta = check_real("meta.delta", meta["delta"])
         n_max = meta["n_max"]
         rows = document["rows"]
         ns = [row[0] for row in rows]
@@ -131,28 +170,50 @@ def save_table_csv(table: IntegralTable, path) -> None:
 
 
 def load_table_csv(path) -> IntegralTable:
-    """Load a CSV table; the result carries no family or width metadata."""
-    with open(path) as handle:
-        lines = [line.strip() for line in handle if line.strip()]
+    """Load a CSV table; the result carries no family or width metadata.
+
+    Blank lines and whitespace around a line are ignored.  Each row holds
+    one comma, a row number ``int()`` accepts before it and a value
+    ``float()`` accepts after it.
+    """
+    return _parse_csv(_read(path), path)
+
+
+def _parse_csv(text: str, path) -> IntegralTable:
+    lines = list(filter(None, map(str.strip, text.split("\n"))))
     if not lines or lines[0] != "N,I":
         raise ValueError(f"{path} is not a table file (missing N,I header)")
-    ns = []
-    values = []
-    for line in lines[1:]:
+    body = lines[1:]
+    if set(map(str.count, body, itertools.repeat(","))) - {1}:
+        _raise_malformed_row(body, path)
+    fields = ",".join(body).split(",") if body else []
+    try:
+        # numpy converts each string with int() or float(), so both columns
+        # accept what the per-row parse in _raise_malformed_row accepts
+        ns = np.array(fields[0::2], dtype=np.int64)
+        values = np.array(fields[1::2], dtype=float)
+    except (ValueError, OverflowError):
+        _raise_malformed_row(body, path)
+    _check_row_numbers(ns, path)
+    return IntegralTable(delta=None, family=None, values=values)
+
+
+def _raise_malformed_row(rows: list[str], path) -> typing.NoReturn:
+    """Name the first row that does not parse, or else the row number past int64."""
+    for row in rows:
         try:
-            n_text, value_text = line.split(",")
-            ns.append(int(n_text))
-            values.append(float(value_text))
+            n_text, value_text = row.split(",")
+            int(n_text)
+            float(value_text)
         except ValueError as exc:
-            raise ValueError(f"malformed table row {line!r} in {path}") from exc
-    _check_row_numbers(np.array(ns, dtype=int), path)
-    return IntegralTable(delta=None, family=None, values=np.array(values, dtype=float))
+            raise ValueError(f"malformed table row {row!r} in {path}") from exc
+    # every row parses, so a row number lies outside int64 and so outside 1..n_max
+    raise _gap_error(path)
 
 
 def load_table(path) -> IntegralTable:
-    """Load either on-disk form, sniffing JSON by its leading brace."""
-    with open(path) as handle:
-        head = handle.read(64).lstrip()
-    if head.startswith("{"):
-        return load_table_json(path)
-    return load_table_csv(path)
+    """Load either on-disk form, sniffing JSON by its leading brace; the file is read once."""
+    text = _read(path)
+    if text[:64].lstrip().startswith("{"):  # the head only: lstrip would copy the whole text
+        return _parse_json(text, path)
+    return _parse_csv(text, path)

@@ -364,3 +364,20 @@ def test_family_choices_follow_the_registry():
     for name in ("table", "plot-data", "multidim"):
         family = next(a for a in commands.choices[name]._actions if a.dest == "family")
         assert family.choices == list(FAMILIES)
+
+
+def test_csv_row_number_past_int64_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text("N,I\n1,-0.25\n99999999999999999999,0.25\n")
+    code, _, err = run(capsys, "recover", "--table", str(path), "--target", "0", "--epsilon", "0.1")
+    assert code == 2
+    assert "1..n_max" in err
+
+
+def test_json_with_a_boolean_width_is_exit_2(capsys, table_path):
+    document = json.loads(table_path.read_text())
+    document["meta"]["delta"] = True
+    table_path.write_text(json.dumps(document))
+    code, _, err = run(capsys, "recover", "--table", str(table_path), "--target", "0", "--epsilon", "0.1")
+    assert code == 2
+    assert "malformed table file" in err

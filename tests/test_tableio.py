@@ -5,14 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from smoothint import (
+    FORMAT_VERSION,
     Canonical,
     EncoderConfig,
     ExpPoly,
     Generalized,
+    IntegralTable,
     Trig,
     build_table,
     load_table,
@@ -21,6 +23,7 @@ from smoothint import (
     save_table_csv,
     save_table_json,
 )
+from smoothint import tableio
 from smoothint.coefficients import FAMILIES
 from smoothint.tableio import family_descriptor, family_from_descriptor
 
@@ -37,6 +40,43 @@ PARAMETERS = {
 def families(draw):
     cls = FAMILIES[draw(st.sampled_from(list(FAMILIES)))]
     return cls(**{f.name: draw(PARAMETERS[f.name]) for f in dataclasses.fields(cls)})
+
+
+def json_module_bytes(table):
+    """The JSON file as the ``json`` module lays it out: the writer's reference."""
+    document = {
+        "meta": {
+            "delta": table.delta,
+            "family": family_descriptor(table.family),
+            "n_max": table.n_max,
+            "format_version": FORMAT_VERSION,
+        },
+        "rows": table.rows,
+    }
+    return (json.dumps(document, indent=2, sort_keys=True) + "\n").encode()
+
+
+def per_row_load_table_csv(path):
+    """A CSV loader that parses row by row with int() and float(): the loader's reference."""
+    with open(path) as handle:
+        lines = [line.strip() for line in handle if line.strip()]
+    if not lines or lines[0] != "N,I":
+        raise ValueError(f"{path} is not a table file (missing N,I header)")
+    ns = []
+    values = []
+    for line in lines[1:]:
+        try:
+            n_text, value_text = line.split(",")
+            ns.append(int(n_text))
+            values.append(float(value_text))
+        except ValueError as exc:
+            raise ValueError(f"malformed table row {line!r} in {path}") from exc
+    ns = np.array(ns, dtype=int)
+    if ns.size == 0:
+        raise ValueError(f"{path} contains no rows")
+    if not np.array_equal(ns, np.arange(1, ns.size + 1)):
+        raise ValueError(f"rows of {path} must run 1..n_max in order with no gaps")
+    return IntegralTable(delta=None, family=None, values=np.array(values, dtype=float))
 
 
 def test_json_round_trip(table30, tmp_path):
@@ -257,17 +297,132 @@ def test_every_family_round_trips_through_both_files(family, delta, n_max):
         assert load_table_csv(csv_path).values.tobytes() == table.values.tobytes()
 
 
-def test_load_table_reads_only_the_head_to_sniff(table30, tmp_path, monkeypatch):
+def test_load_table_opens_the_file_once(table30, tmp_path, monkeypatch):
     json_path = tmp_path / "t.json"
     csv_path = tmp_path / "t.csv"
     save_table_json(table30, json_path)
     save_table_csv(table30, csv_path)
+    opened = []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("load_table read the whole file")
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "read_text", refuse)
+    monkeypatch.setattr(tableio, "open", counting_open, raising=False)
     assert load_table(json_path).family == Canonical()
     loaded = load_table(csv_path)
+    assert opened == [json_path, csv_path]
     assert loaded.family is None
     assert np.array_equal(loaded.values, table30.values)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [Canonical(), Trig(), Generalized(0, 2, 1), Generalized(0.3, 2.0, 1.5), ExpPoly(1), ExpPoly(2.5)],
+    ids=repr,
+)
+@pytest.mark.parametrize("delta", [1, 0.2])
+def test_save_load_save_is_byte_identical_for_integer_and_float_parameters(tmp_path, family, delta):
+    # widths and parameters are written as the floats the loader returns
+    first = tmp_path / "a.json"
+    second = tmp_path / "b.json"
+    save_table_json(build_table(EncoderConfig(family=family, delta=delta), 7), first)
+    save_table_json(load_table_json(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+@given(families(), st.floats(min_value=1e-3, max_value=10.0), st.integers(min_value=1, max_value=2000))
+def test_json_writer_lays_out_files_as_the_json_module_does(family, delta, n_max):
+    table = build_table(EncoderConfig(family=family, delta=delta), n_max)
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "t.json"
+        save_table_json(table, path)
+        assert path.read_bytes() == json_module_bytes(table)
+
+
+def test_json_writer_lays_out_a_large_file_as_the_json_module_does(tmp_path):
+    table = build_table(EncoderConfig(family=Generalized(0.3, 2.0, 1.5), delta=0.2), 10**5)
+    path = tmp_path / "t.json"
+    save_table_json(table, path)
+    assert path.read_bytes() == json_module_bytes(table)
+
+
+# Each edit turns one row (row number text, value text) into a line; "1_0" is
+# row 10, "1_" no integer.  \v and \f are whitespace to strip() and line
+# breaks to splitlines().
+ROW_EDITS = {
+    "padded": lambda n, v: f" \t{n}\f, \v{v}  ",
+    "plus": lambda n, v: f"+{n},{v}",
+    "leading zero": lambda n, v: f"0{n},{v}",
+    "underscore": lambda n, v: f"{n[:1]}_{n[1:]},{v}",
+    "missing comma": lambda n, v: f"{n} {v}",
+    "no separator": lambda n, v: f"{n}{v}",
+    "extra comma": lambda n, v: f"{n},{v},",
+    "three fields": lambda n, v: f"{n},{v},{v}",
+    "nan": lambda n, v: f"{n},nan",
+    "gap": lambda n, v: f"{int(n) + 1},{v}",
+}
+
+
+@st.composite
+def csv_texts(draw):
+    reals = st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(st.one_of(reals, st.integers(-3, 3).map(float)), max_size=12))
+    spell = draw(st.sampled_from(["{:.17g}", "{!r}", "{:g}"]))
+    edits = draw(st.dictionaries(st.integers(0, 11), st.sampled_from(list(ROW_EDITS)), max_size=2))
+    rows = [
+        ROW_EDITS[edits[i]](str(i + 1), spell.format(v)) if i in edits else f"{i + 1},{spell.format(v)}"
+        for i, v in enumerate(values)
+    ]
+    lines = [draw(st.sampled_from(["N,I", "N,I", " N,I\t", "N;I"]))] + rows
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from([ending, ""]))
+
+
+def _outcome(load, path):
+    try:
+        return "loaded", load(path).values.tobytes()
+    except ValueError as exc:
+        return "refused", str(exc)
+
+
+@given(csv_texts())
+# one row short of a comma and one a comma over, every field a number
+@example("N,I\n1,0\n20\n3,0,0\n")
+def test_csv_loader_accepts_and_refuses_what_the_per_row_parse_does(text):
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "t.csv"
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+        assert _outcome(load_table_csv, path) == _outcome(per_row_load_table_csv, path)
+
+
+def test_csv_row_number_past_int64_is_a_value_error(tmp_path):
+    # the per-row parse reads it as a Python int, which numpy cannot hold
+    path = tmp_path / "t.csv"
+    path.write_text("N,I\n1,-0.25\n99999999999999999999,0.25\n")
+    with pytest.raises(ValueError, match="1..n_max"):
+        load_table_csv(path)
+    with pytest.raises(OverflowError):
+        per_row_load_table_csv(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["meta"].update(delta=True),
+        lambda d: d["meta"].update(delta="0.2"),
+        lambda d: d["meta"]["family"].update(p="1"),
+        lambda d: d["meta"]["family"].update(p=True),
+        lambda d: d["meta"].update(format_version=True),
+        lambda d: d["meta"].update(format_version=1.0),
+    ],
+    ids=["true-delta", "string-delta", "string-p", "true-p", "true-version", "float-version"],
+)
+def test_json_numbers_of_a_wrong_type_are_malformed(tmp_path, edit):
+    table5 = build_table(EncoderConfig(family=ExpPoly(1.0), delta=0.2), 5)
+    path = _edited_json(table5, tmp_path / "t.json", edit)
+    with pytest.raises(ValueError, match="malformed table file"):
+        load_table_json(path)

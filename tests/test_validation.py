@@ -30,6 +30,7 @@ from smoothint import (
     coordinatewise_recover,
     counter_eval,
     counter_grid,
+    family_from_descriptor,
     find_root_bracketed,
     integral_closed,
     integral_quadrature,
@@ -108,6 +109,11 @@ INTEGERS = {
         [0],
     ),
 }
+
+
+def _generalized(**params):
+    return {"kind": "generalized", "alpha": 0.5, "beta": 1.0, "gamma": 1.0, **params}
+
 
 REALS = {
     "Bump-center": (lambda v: Bump(center=v, width=0.2), 0.5, "center", []),
@@ -222,6 +228,18 @@ REALS = {
     ),
     "coordinatewise_recover-epsilon": (
         lambda v: coordinatewise_recover(MULTI, (0.028, 0.0), v, 30), 1.0, "epsilon", [0.0]
+    ),
+    "family_from_descriptor-p": (
+        lambda v: family_from_descriptor({"kind": "exppoly", "p": v}), 2.0, "p", [0.5]
+    ),
+    "family_from_descriptor-alpha": (
+        lambda v: family_from_descriptor(_generalized(alpha=v)), 0.5, "alpha", [1.0, -1.5]
+    ),
+    "family_from_descriptor-beta": (
+        lambda v: family_from_descriptor(_generalized(beta=v)), 1.0, "beta", []
+    ),
+    "family_from_descriptor-gamma": (
+        lambda v: family_from_descriptor(_generalized(gamma=v)), 1.0, "gamma", [0.5]
     ),
 }
 
