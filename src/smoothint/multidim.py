@@ -18,10 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validate import check_int, check_positive, check_real
-from .coefficients import CoefficientFamily, _check_family, partial_sums
-from .encoder import EncoderConfig
-from .integral_map import build_table
-from .recovery import recover_match
+from .coefficients import CoefficientFamily, _check_family, _check_row_count, partial_sums
+from .integral_map import area_scale
 
 __all__ = [
     "MultiIndex",
@@ -38,6 +36,10 @@ MultiIndex = tuple[int, ...]
 
 # Most values one ``integral_multi`` call returns: 10**7 float64 values are 80 MB.
 MAX_GRID_CELLS = 10**7
+
+# Rows in the first chunk of a coordinatewise axis scan; each later chunk
+# doubles, so a hit at row n costs O(n) and at most about log2(n) chunks.
+_FIRST_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,7 @@ def _axis_limits(config: MultiEncoderConfig, n_max) -> list[int]:
     limits = [n_max] * config.dimension if np.ndim(n_max) == 0 else list(n_max)
     if len(limits) != config.dimension:
         raise ValueError(f"expected {config.dimension} axis limits, got {len(limits)}")
-    return [check_int("n_max", limit, 1) for limit in limits]
+    return [_check_row_count(check_int("n_max", limit, 1)) for limit in limits]
 
 
 def recover_multi(
@@ -152,14 +154,14 @@ def recover_multi(
     """
     epsilon = check_positive("epsilon", epsilon)
     limits = _axis_limits(config, n_max)
-    sums = [partial_sums(family, limit) for family, limit in zip(config.families, limits)]
+    sums = [partial_sums(family, limit).tolist() for family, limit in zip(config.families, limits)]
     scale = _scale(config)
     d = config.dimension
 
     # smallest attainable |product| over axes i.. (used to prune subtrees)
     best_tail = [1.0] * (d + 1)
     for i in range(d - 1, -1, -1):
-        best_tail[i] = float(min(abs(s) for s in sums[i])) * best_tail[i + 1]
+        best_tail[i] = min(map(abs, sums[i])) * best_tail[i + 1]
 
     found: list[MultiIndex] = []
 
@@ -171,7 +173,7 @@ def recover_multi(
                 return True
             return False
         for component in range(1, limits[axis] + 1):
-            partial = product * float(sums[axis][component - 1])
+            partial = product * sums[axis][component - 1]
             if scale * abs(partial) * best_tail[axis + 1] >= epsilon:
                 continue
             if search(axis + 1, prefix + (component,), partial):
@@ -200,24 +202,59 @@ def coordinatewise_recover(
 ) -> MultiIndex | None:
     """Recover each axis independently from its own observed integral.
 
-    Each target is matched against that axis's one-dimensional table (same
-    bump width).  The result is the tuple of per-axis matches; if any axis
-    has no match the whole recovery reports ``None``.
+    Each axis returns the smallest N <= its limit with |I(N) - target| <
+    epsilon on that axis's one-dimensional map (same bump width), the row
+    ``recover_match`` finds in that axis's ``build_table``.  The result is
+    the tuple of per-axis matches; if any axis has no match the whole
+    recovery reports ``None``.
+
+    Cost: no table is built.  Each axis scans its running sums in chunks
+    that double in size and stops at its first match, so a hit at row n
+    costs O(n) and a miss the whole axis.
 
     Raises:
-        ValueError: number of targets differs from the number of axes.
+        ValueError: number of targets differs from the number of axes, a
+            bad epsilon, or a non-finite value in a scanned chunk.
     """
     targets = tuple(check_real("target", t) for t in targets)
     if len(targets) != config.dimension:
         raise ValueError(
             f"need one target per axis: got {len(targets)} for {config.dimension} axes"
         )
+    epsilon = check_positive("epsilon", epsilon)
     limits = _axis_limits(config, n_max)
+    scale = area_scale(config.delta)
     recovered = []
     for family, target, limit in zip(config.families, targets, limits):
-        table = build_table(EncoderConfig(family=family, delta=config.delta), limit)
-        match = recover_match(table, target, epsilon)
-        if match is None:
+        n = _first_match(family, scale, target, epsilon, limit)
+        if n is None:
             return None
-        recovered.append(int(match.n))
+        recovered.append(n)
     return tuple(recovered)
+
+
+def _first_match(
+    family: CoefficientFamily, scale: float, target: float, epsilon: float, limit: int
+) -> int | None:
+    """Smallest n <= limit with abs(scale * S(n) - target) < epsilon, or None.
+
+    The running sum carries into each chunk through its first term, and
+    ``np.cumsum`` adds left to right, so every value is the one
+    ``scale * partial_sums(family, limit)`` holds, bit for bit.
+    """
+    # nothing is added to the first term: 0.0 + -0.0 would turn it into +0.0
+    start, size, carried = 1, _FIRST_CHUNK_ROWS, None
+    while start <= limit:
+        stop = min(limit, start + size - 1)
+        terms = family.coefficients(np.arange(start, stop + 1))
+        if carried is not None:
+            terms[0] += carried
+        sums = np.cumsum(terms)
+        values = scale * sums
+        if not np.all(np.isfinite(values)):
+            raise ValueError("table values must be finite")
+        hits = np.flatnonzero(np.abs(values - target) < epsilon)
+        if hits.size:
+            return start + int(hits[0])
+        start, size, carried = stop + 1, 2 * size, sums[-1]
+    return None

@@ -20,7 +20,7 @@ Two on-disk forms:
   metadata, so tables loaded from it have no family or width attached.
 
 All files are written with newline-only line endings.  A load reads its file
-once.
+once, and every error it raises names the file.
 """
 
 from __future__ import annotations
@@ -91,7 +91,10 @@ def _gap_error(path) -> ValueError:
 
 def _read(path) -> str:
     with open(path) as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"malformed table file {path}: {exc}") from exc
 
 
 def write_lines(path, lines) -> None:
@@ -135,8 +138,8 @@ def load_table_json(path) -> IntegralTable:
 
 
 def _parse_json(text: str, path) -> IntegralTable:
-    document = json.loads(text)
     try:
+        document = json.loads(text)
         meta = document["meta"]
         version = meta["format_version"]
         if type(version) is not int:
@@ -145,22 +148,22 @@ def _parse_json(text: str, path) -> IntegralTable:
             raise ValueError(f"unsupported format version {version!r}")
         family = family_from_descriptor(meta["family"])
         delta = check_real("meta.delta", meta["delta"])
+        EncoderConfig(family=family, delta=delta)  # refuses a width that is not > 0
         n_max = meta["n_max"]
         rows = document["rows"]
         ns = [row[0] for row in rows]
         if type(n_max) is not int or not set(map(type, ns)) <= {int}:  # exact type: refuses true and 1.0
-            raise ValueError(f"meta.n_max and the row numbers of {path} must be integers")
+            raise ValueError("meta.n_max and the row numbers must be integers")
         ns = np.array(ns, dtype=int)
         values = np.array([row[1] for row in rows], dtype=float)
-    except (KeyError, TypeError, IndexError, OverflowError) as exc:
+    except (KeyError, TypeError, IndexError, OverflowError, ValueError) as exc:
         raise ValueError(f"malformed table file {path}: {exc}") from exc
     _check_row_numbers(ns, path)
     if n_max != ns.size:
         raise ValueError(f"meta.n_max is {n_max} but {path} has {ns.size} rows")
-    EncoderConfig(family=family, delta=delta)  # refuses a width that is not > 0
     expected = area_scale(delta) * partial_sums(family, n_max)
     if not np.allclose(values, expected, rtol=1e-12, atol=1e-12):
-        raise ValueError("table values disagree with the closed form")
+        raise ValueError(f"values of {path} disagree with the closed form")
     return IntegralTable(delta=delta, family=family, values=values)
 
 
@@ -195,6 +198,8 @@ def _parse_csv(text: str, path) -> IntegralTable:
     except (ValueError, OverflowError):
         _raise_malformed_row(body, path)
     _check_row_numbers(ns, path)
+    if not np.isfinite(values).all():
+        raise ValueError(f"values of {path} must be finite")
     return IntegralTable(delta=None, family=None, values=values)
 
 

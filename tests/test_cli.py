@@ -1,6 +1,7 @@
 import argparse
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,8 +271,15 @@ def test_multidim_families_cover_the_registry():
     assert sorted(MULTIDIM_FAMILIES) == sorted(FAMILIES)
 
 
-@pytest.mark.parametrize("shape", [(7, 1, 5), (12, 12), (3, 2, 2, 2)], ids=str)
-@pytest.mark.parametrize("kind", list(MULTIDIM_FAMILIES))
+# every family at three small shapes, and one isotropic grid where about
+# half the cells repeat a value
+MULTIDIM_CASES = [
+    *itertools.product(MULTIDIM_FAMILIES, [(7, 1, 5), (12, 12), (3, 2, 2, 2)]),
+    ("canonical", (100, 100)),
+]
+
+
+@pytest.mark.parametrize("kind, shape", MULTIDIM_CASES, ids=[f"{k}-{s}" for k, s in MULTIDIM_CASES])
 def test_multidim_csv_equals_per_cell_integrals(capsys, tmp_path, kind, shape):
     flags, family = MULTIDIM_FAMILIES[kind]
     path = tmp_path / "grid.csv"
@@ -284,6 +292,46 @@ def test_multidim_csv_equals_per_cell_integrals(capsys, tmp_path, kind, shape):
         lines.append(",".join(map(str, combo)) + f",{integral_multi(config, combo):.17g}")
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
     assert f"wrote {len(lines) - 1} rows" in out
+
+
+def per_cell_lines(grid):
+    """CSV lines formatted cell by cell: the reference for ``cli._grid_lines``."""
+    for index in itertools.product(*(range(size) for size in grid.shape)):
+        yield "".join(f"{i + 1}," for i in index) + f"{float(grid[index]):.17g}"
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        np.array([0.0, -0.0, 0.0, -0.0, 1.5, 1.5]),
+        np.array([[-0.0, 0.0, 0.1], [0.1, -0.0, 0.0]]),
+        np.array([[0.1, 0.2, 0.3, 0.1], [0.2, 0.1, 0.3, 0.3], [0.3, 0.3, 0.1, 0.2]]),
+        np.tile([5e-324, -5e-324, 1 / 3], 11),
+        np.arange(24.0).reshape(2, 3, 4) % 5 - 2,
+    ],
+    ids=["signed-zeros", "signed-zeros-2d", "repeats-2d", "straddles-1d", "repeats-3d"],
+)
+@pytest.mark.parametrize("block_cells", [1, 4, 5, 1 << 16])
+def test_grid_lines_equal_the_per_cell_writer(monkeypatch, grid, block_cells):
+    # small blocks end inside the last axis and between its rows
+    monkeypatch.setattr(cli, "_GRID_BLOCK_CELLS", block_cells)
+    assert list(cli._grid_lines(grid)) == list(per_cell_lines(grid))
+
+
+def test_grid_lines_hold_one_block_beside_the_grid(monkeypatch):
+    monkeypatch.setattr(cli, "_GRID_BLOCK_CELLS", 2**12)
+    grid = np.linspace(-1.0, 1.0, 10**6)  # 10**6 distinct values in one row
+    lines = cli._grid_lines(grid)
+    tracemalloc.start()
+    try:
+        # through the third block: a pass over the whole row would show by now
+        assert len(list(itertools.islice(lines, 3 * 2**12))) == 3 * 2**12
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 12288 lines kept take about 1 MB and one block about 0.5 MB; the
+    # row's floats alone would take 32 MB
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("n_max", ["1000,1000,1000", "100000,100000"])

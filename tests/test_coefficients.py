@@ -16,6 +16,7 @@ from smoothint import (
     Trig,
     build_table,
     coefficient,
+    coordinatewise_recover,
     counter_grid,
     integral_closed,
     integral_quadrature,
@@ -245,6 +246,7 @@ TOO_MANY = [
     lambda: integral_closed(EncoderConfig(family=Canonical(), mode=Mode.SMOOTH), 1e9),
     lambda: map_derivative_smooth(EncoderConfig(family=Canonical(), mode=Mode.SMOOTH), 1e9),
     lambda: recover_multi(MultiEncoderConfig.isotropic(Canonical(), 2), 10**9, 1e-3),
+    lambda: coordinatewise_recover(MultiEncoderConfig.isotropic(Canonical(), 2), (0.0, 0.0), 1e-3, 10**9),
     lambda: counter_grid(CANONICAL, 3, 0.0, 5.0, 10**9),
     lambda: integral_quadrature(CANONICAL, 3, -1.0, 5.0, 10**9),
 ]

@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 
 from smoothint import (
     Canonical,
+    EncoderConfig,
     ExpPoly,
     Generalized,
     MultiEncoderConfig,
     Trig,
+    build_table,
     coordinatewise_recover,
     integral_multi,
     partial_sums,
+    recover_match,
     recover_multi,
 )
 from smoothint import multidim
@@ -248,3 +251,72 @@ def test_grid_cap_is_inclusive(monkeypatch):
 def test_recover_multi_rejects_bad_epsilon(epsilon):
     with pytest.raises(ValueError, match="epsilon must be a positive real"):
         recover_multi(CANONICAL_2D, 10, epsilon)
+
+
+@st.composite
+def coordinatewise_cases(draw):
+    dimension = draw(st.integers(1, 3))
+    families = [
+        cls(**{f.name: draw(PARAMETERS[f.name]) for f in dataclasses.fields(cls)})
+        for cls in (FAMILIES[draw(st.sampled_from(list(FAMILIES)))] for _ in range(dimension))
+    ]
+    delta = draw(st.sampled_from([0.05, 0.2, 1.0, 3.0]))
+    # the scan's chunks end after rows 256, 768, 1792, ...
+    edge = st.sampled_from([255, 256, 257, 767, 768, 769, 1791, 1792, 1793])
+    limits = [draw(st.one_of(edge, st.integers(1, 2000))) for _ in range(dimension)]
+    epsilon = 10.0 ** draw(st.floats(min_value=-12.0, max_value=-1.0))
+    targets = []
+    for family, limit in zip(families, limits):
+        values = build_table(EncoderConfig(family=family, delta=delta), limit).values
+        row = draw(st.one_of(edge, st.integers(1, limit)).filter(lambda r: r <= limit))
+        v = float(values[row - 1])
+        edges = [v - epsilon, v + epsilon]
+        nudged = [math.nextafter(e, direction) for e in edges for direction in (-math.inf, math.inf)]
+        targets.append(draw(st.sampled_from([v, *edges, *nudged, 10.0])))
+    return MultiEncoderConfig(families=tuple(families), delta=delta), targets, epsilon, limits
+
+
+@given(coordinatewise_cases())
+def test_coordinatewise_recover_equals_per_axis_table_match(case):
+    config, targets, epsilon, limits = case
+    expected = []
+    for family, target, limit in zip(config.families, targets, limits):
+        table = build_table(EncoderConfig(family=family, delta=config.delta), limit)
+        match = recover_match(table, target, epsilon)
+        expected.append(None if match is None else match.n)
+    result = coordinatewise_recover(config, targets, epsilon, limits)
+    assert result == (None if None in expected else tuple(expected))
+
+
+@pytest.fixture()
+def canonical_rows_evaluated(monkeypatch):
+    """Sizes of the row arrays passed to ``Canonical.coefficients``, in call order."""
+    evaluated = []
+    exact = Canonical.coefficients
+
+    def counting(self, ns):
+        evaluated.append(len(ns))
+        return exact(self, ns)
+
+    monkeypatch.setattr(Canonical, "coefficients", counting)
+    return evaluated
+
+
+def test_coordinatewise_hit_on_row_one_evaluates_only_the_first_chunk(canonical_rows_evaluated):
+    config = MultiEncoderConfig.isotropic(Canonical(), 1)
+    target = 0.2 * math.sqrt(2.0 * math.pi) * -0.5  # I(1)
+    assert coordinatewise_recover(config, (target,), 1e-12, 10**6) == (1,)
+    assert canonical_rows_evaluated == [multidim._FIRST_CHUNK_ROWS]
+
+
+def test_coordinatewise_miss_scans_the_axis_in_doubling_chunks(canonical_rows_evaluated):
+    config = MultiEncoderConfig.isotropic(Canonical(), 1)
+    assert coordinatewise_recover(config, (10.0,), 1e-3, 10**4) is None
+    assert canonical_rows_evaluated == [256, 512, 1024, 2048, 4096, 10**4 - 7936]
+
+
+def test_coordinatewise_recover_refuses_a_non_finite_axis():
+    # scale * S(1) = 10 * sqrt(2 pi) * (0.5 - 1e308) overflows to -inf
+    config = MultiEncoderConfig(families=(Generalized(0.5, 1e308, 1.0),), delta=10.0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="table values must be finite"):
+        coordinatewise_recover(config, (0.0,), 1e-3, 5)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from smoothint import (
     save_table_csv,
     save_table_json,
 )
-from smoothint import tableio
+from smoothint import cli, tableio
 from smoothint.coefficients import FAMILIES
 from smoothint.tableio import family_descriptor, family_from_descriptor
 
@@ -76,6 +77,8 @@ def per_row_load_table_csv(path):
         raise ValueError(f"{path} contains no rows")
     if not np.array_equal(ns, np.arange(1, ns.size + 1)):
         raise ValueError(f"rows of {path} must run 1..n_max in order with no gaps")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"values of {path} must be finite")
     return IntegralTable(delta=None, family=None, values=np.array(values, dtype=float))
 
 
@@ -203,6 +206,41 @@ def test_json_row_numbers_and_n_max_must_be_integers(tmp_path, edit):
     with pytest.raises(ValueError) as excinfo:
         load_table_json(path)
     assert str(path) in str(excinfo.value)
+
+
+def _write_json_edit(edit):
+    def write(path):
+        _edited_json(build_table(EncoderConfig(family=Canonical(), delta=0.2), 5), path, edit)
+
+    return write
+
+
+def _tamper_row_3(document):
+    document["rows"][2][1] += 1e-3
+
+
+# file name, writer, the message the load raises
+BROKEN_FILES = {
+    "nan-delta": ("t.json", _write_json_edit(lambda d: d["meta"].update(delta=math.nan)), "meta.delta must be finite"),
+    "inf-delta": ("t.json", _write_json_edit(lambda d: d["meta"].update(delta=math.inf)), "meta.delta must be finite"),
+    "tampered-row": ("t.json", _write_json_edit(_tamper_row_3), "disagree with the closed form"),
+    "nan-value": ("t.csv", lambda path: path.write_text("N,I\n1,-0.25\n2,nan\n"), "must be finite"),
+    "truncated-json": ("t.json", lambda path: path.write_text('{"meta": '), "Expecting value"),
+    # not UTF-8; a locale whose encoding reads any byte finds a malformed row instead
+    "not-text": ("t.csv", lambda path: path.write_bytes(b"N,I\n1,\xff\n"), "malformed table"),
+}
+
+
+@pytest.mark.parametrize("case", list(BROKEN_FILES))
+def test_every_load_error_names_the_file(tmp_path, capsys, case):
+    name, write, message = BROKEN_FILES[case]
+    path = tmp_path / name
+    write(path)
+    with pytest.raises(ValueError, match=message) as excinfo:
+        load_table(path)
+    assert str(path) in str(excinfo.value)
+    assert cli.main(["recover", "--table", str(path), "--target", "0.1", "--epsilon", "0.1"]) == 2
+    assert str(path) in capsys.readouterr().err
 
 
 def test_json_with_a_negative_width_is_rejected(table30, tmp_path):
