@@ -12,8 +12,8 @@ from smoothint import (
     EncoderConfig,
     build_table,
     noise_sweep,
-    perturbation_margin,
-    select_epsilon,
+    partial_sum,
+    tail_bound,
 )
 
 try:
@@ -26,7 +26,8 @@ except ImportError:
 
 
 def main() -> None:
-    config = EncoderConfig(family=Canonical(), delta=0.2)
+    family = Canonical()
+    config = EncoderConfig(family=family, delta=0.2)
     table = build_table(config, 30)
     true_n = 8
     epsilon = 0.005
@@ -42,16 +43,15 @@ def main() -> None:
 
     print()
     print("perturbation margin: is the row deep enough that eps/2 noise is safe?")
+    margin_epsilon = 0.02
     for n in (8, 20, 25, 30):
-        safe = perturbation_margin(table, n, epsilon=0.02)
-        print(f"  N = {n:2d}, |I| = {abs(table.value_at(n)):.6f}: {'safe' if safe else 'exposed'}")
+        depth = abs(table.value_at(n))
+        print(f"  N = {n:2d}, |I| = {depth:.6f}: {'safe' if depth < margin_epsilon / 2.0 else 'exposed'}")
 
     print()
-    ratio, n_max = 0.5, 10
-    print(
-        f"select_epsilon({ratio}, {n_max}) = {select_epsilon(ratio, n_max):.6g} "
-        "matches a geometric decay envelope at the table horizon"
-    )
+    print("certified tail bound: |S(N)| never exceeds tail_bound(family, N)")
+    for n in (8, 30):
+        print(f"  N = {n:2d}, |S| = {abs(partial_sum(family, n)):.6f} <= {tail_bound(family, n):.6f}")
 
     if plt is not None:
         fig, ax = plt.subplots(figsize=(6, 3.5))

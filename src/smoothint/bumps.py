@@ -1,4 +1,4 @@
-"""Gaussian bumps and the transition functions that gate them on and off."""
+"""Transition functions that gate the Gaussian bumps on and off."""
 
 from __future__ import annotations
 
@@ -7,48 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validate import check_positive, check_real
+from ._validate import check_positive
 
 __all__ = [
-    "Bump",
     "Sigmoid",
     "Smoothstep",
     "Heaviside",
     "TransitionFunction",
-    "bump_eval",
-    "bump_integral",
 ]
-
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class Bump:
-    """One Gaussian bump: amplitude * exp(-(t - center)^2 / (2 width^2))."""
-
-    center: float
-    width: float
-    amplitude: float = 1.0
-
-    def __post_init__(self) -> None:
-        check_real("center", self.center)
-        check_positive("width", self.width)
-        check_real("amplitude", self.amplitude)
-
-
-def bump_eval(bump: Bump, t):
-    """Evaluate the bump at ``t`` (scalar or array)."""
-    z = (np.asarray(t, dtype=float) - bump.center) / bump.width
-    out = bump.amplitude * np.exp(-0.5 * z * z)
-    return float(out) if out.ndim == 0 else out
-
-
-def bump_integral(bump: Bump) -> float:
-    """Exact integral of the bump over the whole real line.
-
-    amplitude * width * sqrt(2 pi), independent of the center.
-    """
-    return bump.amplitude * bump.width * _SQRT_TWO_PI
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ __all__ = [
     "CoefficientFamily",
     "FAMILIES",
     "MAX_ROWS",
-    "PartialSum",
     "coefficient",
     "partial_sum",
     "partial_sums",
@@ -166,14 +165,6 @@ def _check_family(family) -> None:
         raise TypeError(f"family must be a CoefficientFamily, got {family!r}")
 
 
-@dataclass(frozen=True)
-class PartialSum:
-    """Running sum of the first ``n`` coefficients."""
-
-    n: int
-    value: float
-
-
 def coefficient(family: CoefficientFamily, n: int) -> float:
     """Return the n-th coefficient of ``family`` (n >= 1)."""
     # scalar access funnels through the array path: libm and numpy
@@ -216,7 +207,7 @@ def partial_sums(family: CoefficientFamily, n_max: int) -> np.ndarray:
     return np.cumsum(family.coefficients(ns))
 
 
-def partial_sum(family: CoefficientFamily, n: int) -> PartialSum:
+def partial_sum(family: CoefficientFamily, n: int) -> float:
     """Sum of the first ``n`` coefficients, left to right.
 
     Args:
@@ -225,7 +216,7 @@ def partial_sum(family: CoefficientFamily, n: int) -> PartialSum:
             sum and yields exactly 0.0.
 
     Returns:
-        A :class:`PartialSum` record holding ``n`` and the accumulated value.
+        The accumulated value S(n).
 
     Raises:
         ValueError: if ``n`` is negative, or more than ``MAX_ROWS``.
@@ -233,8 +224,8 @@ def partial_sum(family: CoefficientFamily, n: int) -> PartialSum:
     """
     n = check_int("n", n, 0)
     if n == 0:
-        return PartialSum(0, 0.0)
-    return PartialSum(n, float(partial_sums(family, n)[-1]))
+        return 0.0
+    return float(partial_sums(family, n)[-1])
 
 
 def tail_bound(family: CoefficientFamily, n: int) -> float:

@@ -28,9 +28,9 @@ from .coefficients import MAX_ROWS, CoefficientFamily, _check_family, _check_row
 
 __all__ = ["Mode", "EncoderConfig", "counter_eval", "counter_grid", "smooth_cutoff", "term_weights"]
 
-# A bump further than this many widths from t contributes less than 1e-55
-# of its amplitude, far below every tolerance in the package (the skip
-# threshold is nominally 1e-30), so such terms are not evaluated.
+# A bump further than this many widths from t is worth at most exp(-128),
+# about 2.6e-56, of its amplitude there, and under 2e-57 of its area lies that
+# far out; both are below every tolerance in the package, so it is skipped.
 _CUTOFF_WIDTHS = 16.0
 
 

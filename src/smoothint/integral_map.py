@@ -119,8 +119,8 @@ def integral_closed(config: EncoderConfig, n_value: float) -> float:
     k = math.floor(n_value)
     frac = n_value - k
     if frac == 0.0:
-        return scale * partial_sum(config.family, k).value
-    return scale * (partial_sum(config.family, k).value + frac * coefficient(config.family, k + 1))
+        return scale * partial_sum(config.family, k)
+    return scale * (partial_sum(config.family, k) + frac * coefficient(config.family, k + 1))
 
 
 def build_table(config: EncoderConfig, n_max: int) -> IntegralTable:

@@ -12,9 +12,11 @@ from typing import Callable
 
 import numpy as np
 
-from ._validate import check_int, check_positive, check_real
+from ._validate import check_positive, check_real
 
 __all__ = ["CubicSpline", "spline_fit", "spline_eval", "spline_derivative", "find_root_bracketed"]
+
+_MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -26,7 +28,6 @@ class CubicSpline:
     """
 
     knots: np.ndarray
-    values: np.ndarray
     coefficients: np.ndarray
 
 
@@ -77,7 +78,7 @@ def spline_fit(points) -> CubicSpline:
     b = (y[1:] - y[:-1]) / h - h * (2.0 * m[:-1] + m[1:]) / 6.0
     c = m[:-1] / 2.0
     d = (m[1:] - m[:-1]) / (6.0 * h)
-    return CubicSpline(knots=x, values=y, coefficients=np.column_stack([a, b, c, d]))
+    return CubicSpline(knots=x, coefficients=np.column_stack([a, b, c, d]))
 
 
 def _locate(spline: CubicSpline, x: float) -> tuple[int, float]:
@@ -112,7 +113,6 @@ def find_root_bracketed(
     lo: float,
     hi: float,
     tol: float = 1e-12,
-    max_iterations: int = 200,
 ) -> float:
     """Root of ``f`` inside [lo, hi], which must bracket a sign change.
 
@@ -122,15 +122,14 @@ def find_root_bracketed(
     bracket is narrower than tol.
 
     Raises:
-        TypeError: ``max_iterations`` is not an integer, or a real is not a number.
-        ValueError: a non-finite real, lo >= hi, ``tol`` <= 0, ``max_iterations``
-            < 1, f(lo) and f(hi) of one sign, or the iteration cap is exhausted.
+        TypeError: a real is not a number.
+        ValueError: a non-finite real, lo >= hi, ``tol`` <= 0, f(lo) and f(hi)
+            of one sign, or ``_MAX_ITERATIONS`` steps leave the root unisolated.
     """
     lo, hi = check_real("lo", lo), check_real("hi", hi)
     if lo >= hi:
         raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
     tol = check_positive("tol", tol)
-    max_iterations = check_int("max_iterations", max_iterations, 1)
     f_lo = f(lo)
     f_hi = f(hi)
     if f_lo == 0.0:
@@ -139,7 +138,7 @@ def find_root_bracketed(
         return hi
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise ValueError(f"no sign change over [{lo}, {hi}]: f spans {f_lo} to {f_hi}")
-    for iteration in range(max_iterations):
+    for iteration in range(_MAX_ITERATIONS):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol:
             return mid
@@ -157,4 +156,4 @@ def find_root_bracketed(
             hi, f_hi = x, f_x
         else:
             lo, f_lo = x, f_x
-    raise ValueError(f"root not isolated to tol={tol} within {max_iterations} iterations")
+    raise ValueError(f"root not isolated to tol={tol} within {_MAX_ITERATIONS} iterations")

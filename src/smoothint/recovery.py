@@ -42,14 +42,12 @@ __all__ = [
     "recover_binary",
     "recover_spline",
     "recover_analytic_fractional",
-    "select_epsilon",
-    "perturbation_margin",
     "noise_sweep",
     "DEFAULT_STABILITY_EPSILON",
 ]
 
-# Below this coefficient magnitude the fractional segment is too flat for a
-# trustworthy local inversion; results are still returned but flagged.
+# Below this slope magnitude a spline or fractional-segment inversion is too
+# flat to trust; results are still returned but flagged.
 DEFAULT_STABILITY_EPSILON = 1e-6
 
 
@@ -206,7 +204,6 @@ def recover_spline(
     table: IntegralTable,
     target: float,
     tol: float = 1e-9,
-    stability_epsilon: float = DEFAULT_STABILITY_EPSILON,
 ) -> RecoveryResult | None:
     """Continuous inversion of the tabulated map through a cubic spline.
 
@@ -218,12 +215,11 @@ def recover_spline(
     rooted to ``tol``.  With neither a knot nor a sign change, the result is
     ``None`` and no spline is fitted.
 
-    Stability means |spline slope| at the result exceeds ``stability_epsilon``
-    (a real >= 0), so the inversion is locally well conditioned.
+    Stability means |spline slope| at the result exceeds
+    ``DEFAULT_STABILITY_EPSILON``, so the inversion is locally well conditioned.
     """
     target = check_real("target", target)
     tol = check_positive("tol", tol)
-    stability_epsilon = check_nonnegative("stability_epsilon", stability_epsilon)
     gap = table.values - target
     knot_hits = np.flatnonzero(np.abs(gap) <= tol)
     brackets = np.flatnonzero(gap[:-1] * gap[1:] < 0.0)
@@ -246,7 +242,7 @@ def recover_spline(
         n=n_star,
         residual=float(residual),
         method=RecoveryMethod.SPLINE,
-        stable=bool(abs(slope) > stability_epsilon),
+        stable=bool(abs(slope) > DEFAULT_STABILITY_EPSILON),
     )
 
 
@@ -254,37 +250,33 @@ def recover_analytic_fractional(
     config: EncoderConfig,
     target: float,
     segment: int,
-    stability_epsilon: float = DEFAULT_STABILITY_EPSILON,
 ) -> RecoveryResult:
     """Invert one linear segment of the fractional map exactly.
 
     On [k, k+1] the fractional map is the line I(N) = I(k) + (N - k) *
     scale * a_(k+1), so a target inside the segment's value range maps back
     to N in closed form.  Only the family and width of ``config`` matter
-    here; the mode field is not consulted.
+    here; the mode field is not consulted.  The result is stable when
+    |a_(k+1)| exceeds ``DEFAULT_STABILITY_EPSILON``.
 
     Args:
         config: supplies the coefficient family and bump width.
         target: observed integral value, must lie within the segment's
             closed value range.
         segment: the integer k naming the segment [k, k+1], k >= 0.
-        stability_epsilon: slope-coefficient magnitude below which the
-            result is flagged unstable.
 
     Raises:
         TypeError: ``segment`` is not an integer, or a real is not a number.
         ValueError: ``segment`` < 0, a target non-finite or outside the segment's
-            range, a negative or non-finite ``stability_epsilon``, or a slope
-            coefficient of exactly zero (no inverse exists).
+            range, or a slope coefficient of exactly zero (no inverse exists).
     """
     target = check_real("target", target)
     k = check_int("segment", segment, 0)
-    stability_epsilon = check_nonnegative("stability_epsilon", stability_epsilon)
     scale = area_scale(config.delta)
     slope_coeff = coefficient(config.family, k + 1)
     if slope_coeff == 0.0:
         raise ValueError(f"segment [{k}, {k + 1}] has zero slope; inversion is singular")
-    i_lo = scale * partial_sum(config.family, k).value
+    i_lo = scale * partial_sum(config.family, k)
     i_hi = i_lo + scale * slope_coeff
     if not (min(i_lo, i_hi) <= target <= max(i_lo, i_hi)):
         raise ValueError(
@@ -297,40 +289,8 @@ def recover_analytic_fractional(
         n=float(n_star),
         residual=float(abs(achieved - target)),
         method=RecoveryMethod.ANALYTIC_LOCAL,
-        stable=bool(abs(slope_coeff) > stability_epsilon),
+        stable=bool(abs(slope_coeff) > DEFAULT_STABILITY_EPSILON),
     )
-
-
-def select_epsilon(decay_ratio: float, n_max: int, constant: float = 1.0) -> float:
-    """Tolerance matched to an envelope that shrinks like constant * ratio^N.
-
-    Using the envelope value at the table horizon as epsilon keeps the
-    threshold test meaningful at every depth the table covers.
-
-    Raises:
-        TypeError: ``n_max`` is not an integer, or a real is not a number.
-        ValueError: ``decay_ratio`` outside (0, 1), ``n_max`` < 1, ``constant``
-            <= 0 or non-finite, or a result that underflows to 0.0.
-    """
-    decay_ratio = check_real("decay_ratio", decay_ratio)
-    if not 0.0 < decay_ratio < 1.0:
-        raise ValueError(f"decay_ratio must be in (0, 1), got {decay_ratio!r}")
-    n_max = check_int("n_max", n_max, 1)
-    epsilon = check_positive("constant", constant) * decay_ratio**n_max
-    if epsilon == 0.0:
-        raise ValueError(f"constant * decay_ratio**n_max underflows to 0.0 at n_max={n_max}")
-    return epsilon
-
-
-def perturbation_margin(table: IntegralTable, n: int, epsilon: float) -> bool:
-    """True when row ``n`` sits deep enough that epsilon/2 noise cannot unseat it.
-
-    |I(n)| < epsilon/2 means any perturbation smaller than epsilon/2 leaves
-    the perturbed value within epsilon of the stored row, by the triangle
-    inequality.
-    """
-    epsilon = check_positive("epsilon", epsilon)
-    return bool(abs(table.value_at(n)) < epsilon / 2.0)
 
 
 def noise_sweep(

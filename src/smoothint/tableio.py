@@ -75,6 +75,9 @@ def family_from_descriptor(descriptor: dict) -> CoefficientFamily:
     cls = FAMILIES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown family kind {kind!r}")
+    missing = [f.name for f in dataclasses.fields(cls) if f.name not in descriptor]
+    if missing:
+        raise ValueError(f"{kind} family descriptor lacks parameter {missing[0]!r}")
     return cls(**{f.name: check_real(f.name, descriptor[f.name]) for f in dataclasses.fields(cls)})
 
 

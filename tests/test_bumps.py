@@ -1,62 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smoothint import (
-    Bump,
-    Heaviside,
-    Sigmoid,
-    Smoothstep,
-    bump_eval,
-    bump_integral,
-)
-
-
-def test_bump_peak_value():
-    bump = Bump(center=3.0, width=0.2, amplitude=-0.7)
-    assert bump_eval(bump, 3.0) == -0.7
-
-
-def test_bump_scalar_and_array_agree():
-    bump = Bump(center=1.0, width=0.5)
-    ts = np.linspace(-1.0, 3.0, 17)
-    values = bump_eval(bump, ts)
-    assert values.shape == ts.shape
-    for t, v in zip(ts, values):
-        assert bump_eval(bump, float(t)) == v
-
-
-@given(st.floats(min_value=0.0, max_value=50.0))
-def test_bump_symmetry(offset):
-    # exact about the center: +-offset square to the same float
-    bump = Bump(center=0.0, width=0.3)
-    assert bump_eval(bump, offset) == bump_eval(bump, -offset)
-
-
-def test_bump_integral_value():
-    bump = Bump(center=5.0, width=0.2, amplitude=2.0)
-    assert bump_integral(bump) == 2.0 * 0.2 * math.sqrt(2.0 * math.pi)
-
-
-def test_bump_integral_against_quadrature():
-    bump = Bump(center=0.0, width=0.7, amplitude=1.3)
-    ts = np.linspace(-12.0, 12.0, 20001)
-    approx = np.trapezoid(bump_eval(bump, ts), ts)
-    assert approx == pytest.approx(bump_integral(bump), rel=1e-9)
-
-
-@pytest.mark.parametrize("width", [0.0, -0.1])
-def test_bump_rejects_bad_width(width):
-    with pytest.raises(ValueError):
-        Bump(center=0.0, width=width)
-
-
-def test_bump_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        Bump(center=math.nan, width=0.2)
+from smoothint import Heaviside, Sigmoid, Smoothstep
 
 
 def test_sigmoid_midpoint_and_extremes():

@@ -38,6 +38,14 @@ def test_area_scale():
     assert area_scale(1.0) == math.sqrt(2.0 * math.pi)
 
 
+@pytest.mark.parametrize("delta", [0.05, 0.2, 0.7, 3.0])
+def test_area_scale_is_the_whole_line_integral_of_a_unit_bump(delta):
+    # less than 2e-57 of the bump's area lies beyond 16 widths
+    ts = np.linspace(-16.0 * delta, 16.0 * delta, 20001)
+    approx = np.trapezoid(np.exp(-(ts * ts) / (2.0 * delta * delta)), ts)
+    assert approx == pytest.approx(area_scale(delta), rel=1e-9)
+
+
 @pytest.mark.parametrize("n,expected", sorted(KNOWN_VALUES.items()))
 def test_integral_closed_discrete(canonical_config, n, expected):
     assert integral_closed(canonical_config, n) == expected

@@ -14,16 +14,16 @@ from smoothint import (
     Mode,
     RecoveryMethod,
     Trig,
+    area_scale,
     build_table,
     integral_closed,
     noise_sweep,
-    perturbation_margin,
     recover_analytic_fractional,
     recover_binary,
     recover_match,
     recover_spline,
     recover_threshold,
-    select_epsilon,
+    tail_bound,
 )
 
 FRACTIONAL = EncoderConfig(family=Canonical(), delta=0.2, mode=Mode.FRACTIONAL)
@@ -95,6 +95,9 @@ def test_threshold_local_min_only_matches_the_last_row(table30):
     # their successor and the table edge is the only local minimum
     result = recover_threshold(table30, 0.01, require_local_min=True)
     assert result.n == 30
+    # stable means |I(n)| < epsilon/2, so noise below epsilon/2 cannot unseat the row
+    assert not result.stable
+    assert recover_threshold(table30, 0.02, require_local_min=True).stable
 
 
 def test_threshold_none_when_too_tight(table30):
@@ -225,8 +228,11 @@ def test_spline_on_a_table_too_short_to_fit():
         recover_spline(TWO_ROWS, 0.07)
 
 
-def test_spline_stability_threshold(table30):
-    result = recover_spline(table30, 0.0, tol=1e-12, stability_epsilon=1e9)
+def test_spline_stability_threshold():
+    # the slope there, 1e-9 per row, is below DEFAULT_STABILITY_EPSILON
+    flat = IntegralTable(delta=None, family=None, values=[0.0, 1e-9, 2e-9, 3e-9])
+    result = recover_spline(flat, 1.5e-9, tol=1e-15)
+    assert result.n == 2.5
     assert not result.stable
 
 
@@ -264,37 +270,17 @@ def test_analytic_zero_slope_is_singular():
 
 
 def test_analytic_stability_flag():
-    target = integral_closed(FRACTIONAL, 7.25)
-    result = recover_analytic_fractional(FRACTIONAL, target, 7, stability_epsilon=1.0)
+    # |a_21| of Trig is about 3.6e-11, below DEFAULT_STABILITY_EPSILON
+    trig = EncoderConfig(family=Trig(), delta=0.2, mode=Mode.FRACTIONAL)
+    result = recover_analytic_fractional(trig, integral_closed(trig, 20.5), 20)
     assert not result.stable
 
 
-def test_select_epsilon_values():
-    assert select_epsilon(0.5, 10) == 0.0009765625  # 2 ** -10
-    assert select_epsilon(0.9, 10, 2.0) == 0.6973568802000002
-
-
-def test_select_epsilon_validation():
-    with pytest.raises(ValueError):
-        select_epsilon(1.0, 10)
-    with pytest.raises(ValueError):
-        select_epsilon(0.0, 10)
-    with pytest.raises(ValueError):
-        select_epsilon(0.5, 0)
-    with pytest.raises(ValueError):
-        select_epsilon(0.5, 10, -1.0)
-
-
-def test_select_epsilon_refuses_a_tolerance_that_underflows():
-    # 0.5 ** 2000 is 0.0, a tolerance every recovery refuses
-    with pytest.raises(ValueError, match="underflows to 0.0"):
-        select_epsilon(0.5, 2000)
-    assert select_epsilon(0.5, 1074) == 5e-324
-
-
-def test_perturbation_margin(table30):
-    assert perturbation_margin(table30, 25, 0.02)
-    assert not perturbation_margin(table30, 1, 0.02)
+def test_tail_bound_sizes_a_threshold_that_reaches_the_table():
+    for n_max in (10, 30, 100):
+        table = build_table(EncoderConfig(family=Canonical(), delta=0.2), n_max)
+        # |I(n_max)| = area_scale * |S(n_max)| <= area_scale * tail_bound, so some row qualifies
+        assert recover_threshold(table, area_scale(0.2) * tail_bound(Canonical(), n_max)) is not None
 
 
 def test_noise_sweep_baselines(table30):

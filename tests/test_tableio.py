@@ -224,6 +224,9 @@ BROKEN_FILES = {
     "nan-delta": ("t.json", _write_json_edit(lambda d: d["meta"].update(delta=math.nan)), "meta.delta must be finite"),
     "inf-delta": ("t.json", _write_json_edit(lambda d: d["meta"].update(delta=math.inf)), "meta.delta must be finite"),
     "tampered-row": ("t.json", _write_json_edit(_tamper_row_3), "disagree with the closed form"),
+    "missing-parameter": (
+        "t.json", _write_json_edit(lambda d: d["meta"].update(family={"kind": "exppoly"})), "lacks parameter 'p'"
+    ),
     "nan-value": ("t.csv", lambda path: path.write_text("N,I\n1,-0.25\n2,nan\n"), "must be finite"),
     "truncated-json": ("t.json", lambda path: path.write_text('{"meta": '), "Expecting value"),
     # not UTF-8; a locale whose encoding reads any byte finds a malformed row instead
@@ -307,6 +310,10 @@ def test_family_descriptor_rejects_unknown():
         family_from_descriptor({"kind": "mystery"})
     with pytest.raises(ValueError, match="malformed"):
         family_from_descriptor({"alpha": 0.5})
+    with pytest.raises(ValueError, match="lacks parameter 'alpha'"):
+        family_from_descriptor({"kind": "generalized"})
+    with pytest.raises(ValueError, match="lacks parameter 'p'"):
+        family_from_descriptor({"kind": "exppoly"})
 
 
 def test_round_trip_preserves_family_parameters(tmp_path):

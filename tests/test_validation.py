@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from smoothint import (
-    Bump,
     Canonical,
     EncoderConfig,
     ExpPoly,
@@ -33,22 +32,22 @@ from smoothint import (
     family_from_descriptor,
     find_root_bracketed,
     integral_closed,
+    integral_multi,
     integral_quadrature,
     map_derivative_smooth,
     noise_sweep,
     partial_sum,
     partial_sums,
-    perturbation_margin,
     recover_analytic_fractional,
     recover_binary,
     recover_match,
     recover_multi,
     recover_spline,
     recover_threshold,
-    select_epsilon,
     spline_derivative,
     spline_eval,
     spline_fit,
+    smooth_cutoff,
     tail_bound,
     term_weights,
 )
@@ -75,17 +74,9 @@ INTEGERS = {
     "integral_quadrature-points": (
         lambda v: integral_quadrature(DISCRETE, 1, -1.0, 3.0, v), 500, "points", [1, 399]
     ),
-    "find_root_bracketed-max_iterations": (
-        lambda v: find_root_bracketed(math.cos, 0.0, 2.0, max_iterations=v),
-        200,
-        "max_iterations",
-        [0, -1],
-    ),
     "recover_analytic_fractional-segment": (
         lambda v: recover_analytic_fractional(FRACTIONAL, SEGMENT_3_TARGET, v), 3, "segment", [-1]
     ),
-    "select_epsilon-n_max": (lambda v: select_epsilon(0.5, v), 10, "n_max", [0]),
-    "perturbation_margin-n": (lambda v: perturbation_margin(TABLE, v, 0.02), 8, "row", [0, 31]),
     "noise_sweep-true_n": (
         lambda v: noise_sweep(TABLE, v, 0.005, [0.0], trials=5), 8, "row", [0, 31]
     ),
@@ -108,6 +99,12 @@ INTEGERS = {
         "n_max",
         [0],
     ),
+    "coordinatewise_recover-axis_limit": (
+        lambda v: coordinatewise_recover(MULTI, (TABLE.value_at(4), 0.0), 1.0, (30, v)),
+        30,
+        "n_max",
+        [0],
+    ),
 }
 
 
@@ -116,9 +113,6 @@ def _generalized(**params):
 
 
 REALS = {
-    "Bump-center": (lambda v: Bump(center=v, width=0.2), 0.5, "center", []),
-    "Bump-width": (lambda v: Bump(center=0.0, width=v), 0.2, "width", [0.0, -0.1]),
-    "Bump-amplitude": (lambda v: Bump(center=0.0, width=0.2, amplitude=v), 1.5, "amplitude", []),
     "Sigmoid-sharpness": (lambda v: Sigmoid(v), 10.0, "sharpness", [0.0, -2.0]),
     "Smoothstep-halfwidth": (lambda v: Smoothstep(v), 0.5, "halfwidth", [0.0, -0.5]),
     "Generalized-alpha": (lambda v: Generalized(v, 1.0, 1.0), 0.5, "alpha", [1.0, -1.5]),
@@ -138,10 +132,23 @@ REALS = {
     "term_weights-discrete-n_value": (
         lambda v: term_weights(DISCRETE, v), 3.0, "n_value", [-1.0, 2.5]
     ),
+    "term_weights-smooth-n_value": (lambda v: term_weights(SMOOTH, v), 2.5, "n_value", [-1.0]),
+    "smooth_cutoff-n_value": (lambda v: smooth_cutoff(SMOOTH, v), 2.5, "n_value", [-1.0]),
     "counter_eval-n_value": (lambda v: counter_eval(FRACTIONAL, v, 1.0), 2.5, "n_value", [-1.0]),
     "counter_eval-t": (lambda v: counter_eval(FRACTIONAL, 2.5, v), 1.0, "t", []),
+    "counter_eval-discrete-n_value": (
+        lambda v: counter_eval(DISCRETE, v, 1.0), 3.0, "n_value", [-1.0, 2.5]
+    ),
+    "counter_eval-smooth-n_value": (lambda v: counter_eval(SMOOTH, v, 1.0), 2.5, "n_value", [-1.0]),
+    "counter_eval-smooth-t": (lambda v: counter_eval(SMOOTH, 2.5, v), 1.0, "t", []),
     "counter_grid-n_value": (
         lambda v: counter_grid(FRACTIONAL, v, 0.0, 3.0, 5), 1.5, "n_value", [-0.5]
+    ),
+    "counter_grid-discrete-n_value": (
+        lambda v: counter_grid(DISCRETE, v, 0.0, 3.0, 5), 3.0, "n_value", [-0.5, 2.5]
+    ),
+    "counter_grid-smooth-n_value": (
+        lambda v: counter_grid(SMOOTH, v, 0.0, 3.0, 5), 1.5, "n_value", [-0.5]
     ),
     "counter_grid-t_min": (
         lambda v: counter_grid(FRACTIONAL, 1.5, v, 3.0, 5), 0.0, "t_min", [3.0, 4.0]
@@ -152,11 +159,17 @@ REALS = {
     "integral_closed-n_value": (
         lambda v: integral_closed(FRACTIONAL, v), 2.5, "n_value", [-1.0]
     ),
+    "integral_closed-discrete-n_value": (
+        lambda v: integral_closed(DISCRETE, v), 3.0, "n_value", [-1.0, 2.5]
+    ),
     "integral_closed-smooth-n_value": (
         lambda v: integral_closed(SMOOTH, v), 2.5, "n_value", [-1.0]
     ),
     "integral_quadrature-n_value": (
         lambda v: integral_quadrature(FRACTIONAL, v, -1.0, 3.0, 500), 1.5, "n_value", [-1.0]
+    ),
+    "integral_quadrature-smooth-n_value": (
+        lambda v: integral_quadrature(SMOOTH, v, -5.0, 30.0, 4000), 2.5, "n_value", [-1.0]
     ),
     "integral_quadrature-t_min": (
         lambda v: integral_quadrature(DISCRETE, 1, v, 3.0, 500), -1.0, "t_min", [3.0, 0.5]
@@ -193,26 +206,8 @@ REALS = {
     "recover_spline-tol": (
         lambda v: recover_spline(TABLE, 0.028, tol=v), 1e-9, "tol", [0.0, -1e-9]
     ),
-    "recover_spline-stability_epsilon": (
-        lambda v: recover_spline(TABLE, 0.028, stability_epsilon=v), 0.0, "stability_epsilon", [-1.0]
-    ),
-    "recover_analytic_fractional-stability_epsilon": (
-        lambda v: recover_analytic_fractional(FRACTIONAL, SEGMENT_3_TARGET, 3, stability_epsilon=v),
-        0.0,
-        "stability_epsilon",
-        [-1.0, -1e-300],
-    ),
     "recover_analytic_fractional-target": (
         lambda v: recover_analytic_fractional(FRACTIONAL, v, 3), SEGMENT_3_TARGET, "target", [0.5]
-    ),
-    "select_epsilon-decay_ratio": (
-        lambda v: select_epsilon(v, 10), 0.5, "decay_ratio", [0.0, 1.0, 1.5, -0.5]
-    ),
-    "select_epsilon-constant": (
-        lambda v: select_epsilon(0.5, 10, v), 2.0, "constant", [0.0, -1.0]
-    ),
-    "perturbation_margin-epsilon": (
-        lambda v: perturbation_margin(TABLE, 8, v), 0.02, "epsilon", [0.0]
     ),
     "noise_sweep-epsilon": (
         lambda v: noise_sweep(TABLE, 8, v, [0.0], trials=5), 0.005, "epsilon", [0.0, -0.005]
@@ -225,6 +220,9 @@ REALS = {
     ),
     "coordinatewise_recover-target": (
         lambda v: coordinatewise_recover(MULTI, (v, 0.0), 1.0, 30), 0.028, "target", []
+    ),
+    "coordinatewise_recover-second-target": (
+        lambda v: coordinatewise_recover(MULTI, (0.028, v), 1.0, 30), 0.0, "target", []
     ),
     "coordinatewise_recover-epsilon": (
         lambda v: coordinatewise_recover(MULTI, (0.028, 0.0), v, 30), 1.0, "epsilon", [0.0]
@@ -300,6 +298,33 @@ def test_real_argument_accepts_python_and_numpy_reals_and_integers(call, name, v
     call(value)
 
 
+# integral_multi takes integer arrays as well as integers, so its message
+# names the components rather than one argument
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("value", [True, False, 2.5, 3.0, "3", np.float64(3), None], ids=repr)
+def test_multi_index_component_of_a_wrong_type_is_a_type_error(axis, value):
+    indices = [2, 2]
+    indices[axis] = value
+    with pytest.raises(TypeError, match="^components must be integers"):
+        integral_multi(MULTI, indices)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_multi_index_component_out_of_range_is_a_value_error(axis):
+    indices = [2, 2]
+    indices[axis] = -1
+    with pytest.raises(ValueError, match="^components must be >= 0"):
+        integral_multi(MULTI, indices)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("value", [3, np.int64(3), np.int32(3), np.uint16(3)], ids=repr)
+def test_multi_index_component_accepts_python_and_numpy_integers(axis, value):
+    indices = [2, 2]
+    indices[axis] = value
+    assert integral_multi(MULTI, indices) == integral_multi(MULTI, (3, 2) if axis == 0 else (2, 3))
+
+
 FAMILY_TAKERS = {
     "EncoderConfig": lambda f: EncoderConfig(family=f),
     "MultiEncoderConfig": lambda f: MultiEncoderConfig((f,)),
@@ -322,4 +347,4 @@ def test_same_results_from_numpy_scalars():
     assert recover_match(TABLE, np.float64(0.028), np.float64(0.005)) == recover_match(
         TABLE, 0.028, 0.005
     )
-    assert select_epsilon(np.float64(0.5), np.int32(10)) == select_epsilon(0.5, 10)
+    assert tail_bound(Canonical(), np.int32(10)) == tail_bound(Canonical(), 10)
