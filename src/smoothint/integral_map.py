@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._validate import check_int, check_real
+from ._validate import check_int, check_positive, check_real
 from .bumps import Sigmoid
 from .coefficients import CoefficientFamily, _check_row_count, coefficient, partial_sum, partial_sums
 from .encoder import EncoderConfig, Mode, _accumulate, _check_count, smooth_cutoff, term_weights
@@ -43,8 +43,8 @@ _MIN_POINTS_PER_UNIT = 100.0
 
 
 def area_scale(delta: float) -> float:
-    """Area of one unit-amplitude bump of width ``delta``: delta * sqrt(2 pi)."""
-    return delta * math.sqrt(2.0 * math.pi)
+    """Area of one unit-amplitude bump of width ``delta`` > 0: delta * sqrt(2 pi)."""
+    return check_positive("delta", delta) * math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)

@@ -46,8 +46,8 @@ __all__ = [
     "DEFAULT_STABILITY_EPSILON",
 ]
 
-# Below this slope magnitude a spline or fractional-segment inversion is too
-# flat to trust; results are still returned but flagged.
+# Below this slope magnitude |dI/dN| a spline or fractional-segment inversion
+# is too flat to trust; results are still returned but flagged.
 DEFAULT_STABILITY_EPSILON = 1e-6
 
 
@@ -215,7 +215,7 @@ def recover_spline(
     rooted to ``tol``.  With neither a knot nor a sign change, the result is
     ``None`` and no spline is fitted.
 
-    Stability means |spline slope| at the result exceeds
+    Stability means the spline's slope |dI/dN| at the result exceeds
     ``DEFAULT_STABILITY_EPSILON``, so the inversion is locally well conditioned.
     """
     target = check_real("target", target)
@@ -225,7 +225,7 @@ def recover_spline(
     brackets = np.flatnonzero(gap[:-1] * gap[1:] < 0.0)
     if knot_hits.size == 0 and brackets.size == 0:
         return None
-    spline = spline_fit(enumerate(table.values, start=1))
+    spline = spline_fit(table.values)
     if knot_hits.size:
         n_star = float(knot_hits[0] + 1)
     else:
@@ -256,8 +256,8 @@ def recover_analytic_fractional(
     On [k, k+1] the fractional map is the line I(N) = I(k) + (N - k) *
     scale * a_(k+1), so a target inside the segment's value range maps back
     to N in closed form.  Only the family and width of ``config`` matter
-    here; the mode field is not consulted.  The result is stable when
-    |a_(k+1)| exceeds ``DEFAULT_STABILITY_EPSILON``.
+    here; the mode field is not consulted.  The result is stable when the
+    slope |dI/dN| = |scale * a_(k+1)| exceeds ``DEFAULT_STABILITY_EPSILON``.
 
     Args:
         config: supplies the coefficient family and bump width.
@@ -289,7 +289,7 @@ def recover_analytic_fractional(
         n=float(n_star),
         residual=float(abs(achieved - target)),
         method=RecoveryMethod.ANALYTIC_LOCAL,
-        stable=bool(abs(slope_coeff) > DEFAULT_STABILITY_EPSILON),
+        stable=bool(abs(scale * slope_coeff) > DEFAULT_STABILITY_EPSILON),
     )
 
 

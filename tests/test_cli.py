@@ -112,6 +112,18 @@ def test_recover_spline_reports_rounded(capsys, table_path):
     assert payload["n"] == pytest.approx(1.6185897451570046, abs=1e-6)
 
 
+def test_recover_spline_with_a_tolerance_finer_than_the_float_spacing(capsys, table_path):
+    # no two floats near the root are 1e-20 apart, so the root finder stops
+    # at a bracket of adjacent floats; 1e-17 gives the same n
+    for epsilon in ("1e-20", "1e-17"):
+        code, out, err = run(
+            capsys, "recover", "--table", str(table_path),
+            "--target", "0.0292", "--epsilon", epsilon, "--method", "spline",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["n"] == 1.7316984993700086
+
+
 def test_recover_from_csv_table(capsys, tmp_path):
     path = tmp_path / "t.csv"
     assert main(["table", "--n-max", "30", "--format", "csv", "--out", str(path)]) == 0

@@ -214,7 +214,7 @@ TWO_ROWS = IntegralTable(delta=None, family=None, values=np.array([0.1, 0.05]))
 
 
 def test_spline_none_when_level_is_never_reached(table30, monkeypatch):
-    def fail(points):
+    def fail(values):
         raise AssertionError("the spline was fitted")
 
     monkeypatch.setattr("smoothint.recovery.spline_fit", fail)
@@ -270,10 +270,24 @@ def test_analytic_zero_slope_is_singular():
 
 
 def test_analytic_stability_flag():
-    # |a_21| of Trig is about 3.6e-11, below DEFAULT_STABILITY_EPSILON
+    # |dI/dN| = area_scale(0.2) * |a_21| of Trig is about 1.8e-11, below
+    # DEFAULT_STABILITY_EPSILON
     trig = EncoderConfig(family=Trig(), delta=0.2, mode=Mode.FRACTIONAL)
     result = recover_analytic_fractional(trig, integral_closed(trig, 20.5), 20)
     assert not result.stable
+
+
+@pytest.mark.parametrize("delta, stable", [(1e-6, False), (0.2, True)])
+def test_both_inversions_flag_stability_on_the_slope_dI_dN(delta, stable):
+    # at N = 20 on Canonical, dI/dN = area_scale(delta) * |a_21| is 1.2e-7 at
+    # delta = 1e-6 and 0.024 at delta = 0.2, on either side of
+    # DEFAULT_STABILITY_EPSILON, so both inversions must agree
+    fractional = EncoderConfig(family=Canonical(), delta=delta, mode=Mode.FRACTIONAL)
+    target = integral_closed(fractional, 20.0)
+    table = build_table(EncoderConfig(family=Canonical(), delta=delta), 30)
+    assert table.value_at(20) == target
+    assert recover_analytic_fractional(fractional, target, 20).stable is stable
+    assert recover_spline(table, target).stable is stable
 
 
 def test_tail_bound_sizes_a_threshold_that_reaches_the_table():

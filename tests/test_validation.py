@@ -24,6 +24,7 @@ from smoothint import (
     MultiEncoderConfig,
     Sigmoid,
     Smoothstep,
+    area_scale,
     build_table,
     coefficient,
     coordinatewise_recover,
@@ -56,7 +57,7 @@ DISCRETE = EncoderConfig(family=Canonical(), delta=0.2)
 FRACTIONAL = EncoderConfig(family=Canonical(), delta=0.2, mode=Mode.FRACTIONAL)
 SMOOTH = EncoderConfig(family=Canonical(), delta=0.2, mode=Mode.SMOOTH)
 TABLE = build_table(DISCRETE, 30)
-SPLINE = spline_fit(enumerate(TABLE.values, start=1))
+SPLINE = spline_fit(TABLE.values)
 MULTI = MultiEncoderConfig.isotropic(Canonical(), 2)
 SEGMENT_3_TARGET = integral_closed(FRACTIONAL, 3.5)
 
@@ -128,6 +129,7 @@ REALS = {
     "isotropic-delta": (
         lambda v: MultiEncoderConfig.isotropic(Canonical(), 2, delta=v), 0.2, "delta", [-0.2]
     ),
+    "area_scale-delta": (lambda v: area_scale(v), 0.2, "delta", [0.0, -1.0]),
     "term_weights-n_value": (lambda v: term_weights(FRACTIONAL, v), 2.5, "n_value", [-1.0]),
     "term_weights-discrete-n_value": (
         lambda v: term_weights(DISCRETE, v), 3.0, "n_value", [-1.0, 2.5]
