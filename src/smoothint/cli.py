@@ -147,7 +147,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_recover(args: argparse.Namespace) -> int:
     table = load_table(args.table)
     if args.method == "threshold":
-        result = recover_threshold(table, args.epsilon, require_local_min=args.require_local_min)
+        result = recover_threshold(table, args.epsilon)
     else:
         if args.target is None:
             print(f"error: --target is required for method {args.method!r}", file=sys.stderr)
@@ -293,11 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["match", "binary", "spline", "threshold"],
         default="match",
         help="inversion strategy (default match)",
-    )
-    recover.add_argument(
-        "--require-local-min",
-        action="store_true",
-        help="threshold only: demand a local magnitude minimum",
     )
     recover.set_defaults(handler=_cmd_recover)
 

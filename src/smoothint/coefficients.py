@@ -233,36 +233,41 @@ def tail_bound(family: CoefficientFamily, n: int) -> float:
 
     For :class:`Canonical`, whose series sums to zero, this also bounds |S(n)|;
     other series sum to a non-zero limit, and their |S(n)| can far exceed it.
-    The bound splits the tail into its two parts: the alternating part is
+    For :class:`Canonical`, :class:`Generalized` and :class:`ExpPoly` the
+    bound splits the tail into its two parts: the alternating part is
     bounded by the first omitted term, and the geometric part by the full
     geometric tail with the polynomial decay dropped:
 
         |tail| <= |beta| / (n + 1)^gamma + |alpha|^(n + 1) / (1 - |alpha|)
 
-    For :class:`Canonical` this reduces to 1/(n + 1) + 2^(-n).  Note the
+    For :class:`Canonical` this reduces to 1/(n + 1) + 2^(-n), and for
+    ``ExpPoly(p)`` to 1/(n + 1)^p + e^-(n + 1) / (1 - e^-1).  Note the
     combined sequence is *not* eventually geometric, the harmonic part
-    dominates, so no geometric envelope is available.
+    dominates, so no geometric envelope is available.  The terms of
+    :class:`Trig` alternate and shrink in magnitude, so its bound is the
+    first omitted term alone, e^-(n + 1) / (n + 1).
 
     Args:
-        family: a :class:`Canonical` or :class:`Generalized` instance.
+        family: a coefficient family instance.
         n: number of leading terms already summed, must be >= 1.
 
     Returns:
         The bound as a float.
 
     Raises:
-        NotImplementedError: for families without a certified bound.
+        TypeError: ``family`` is not a coefficient family, or ``n`` is not an integer.
         ValueError: if ``n`` < 1.
     """
     n = check_int("n", n, 1)
+    _check_family(family)
+    if isinstance(family, Trig):
+        return math.exp(-(n + 1)) / (n + 1)
     if isinstance(family, Canonical):
         alpha, beta, gamma = 0.5, 1.0, 1.0
     elif isinstance(family, Generalized):
         alpha, beta, gamma = family.alpha, family.beta, family.gamma
     else:
-        raise NotImplementedError(
-            f"no certified tail bound for {type(family).__name__}"
-        )
+        alpha, beta, gamma = math.exp(-1.0), 1.0, family.p
     alternating_part = abs(beta) / (n + 1) ** gamma
     geometric_part = abs(alpha) ** (n + 1) / (1.0 - abs(alpha))
     return alternating_part + geometric_part

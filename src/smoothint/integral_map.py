@@ -60,14 +60,24 @@ class IntegralTable:
     checked here.  :func:`build_table` computes them from the closed form,
     and the file loaders check what they read before constructing a table.
 
-    ``supports_binary`` is derived from the rows at construction: the signs
-    must strictly alternate and the magnitudes of each parity class must be
-    non-increasing.  Binary-search recovery is only valid on such tables.
+    The search structure is derived from the rows once, at construction, in
+    one comparison pass over each parity class ``values[0::2]`` and
+    ``values[1::2]``.  Each class takes its direction from its end values
+    (rising when ``c[0] <= c[-1]``) and must be monotone, not necessarily
+    strictly, in that direction.  ``class_rising`` holds one direction per
+    non-empty class when every class is monotone, and is ``None`` when a
+    class turns.  Recovery bisects the classes of a table with directions,
+    O(log n), and scans any other table, O(n).
+
+    ``supports_binary`` narrows this to the tables the binary method is
+    named for: the signs strictly alternate and each class shrinks in
+    magnitude.  It follows from the directions and each class's end values.
     """
 
     delta: float | None
     family: CoefficientFamily | None
     values: np.ndarray
+    class_rising: tuple[bool, ...] | None = field(init=False, repr=False, compare=False)
     supports_binary: bool = field(init=False)
 
     def __post_init__(self) -> None:
@@ -77,12 +87,21 @@ class IntegralTable:
             raise ValueError("table values must be a non-empty 1-D array")
         if not np.all(np.isfinite(values)):
             raise ValueError("table values must be finite")
-        signs = np.sign(values)
-        alternating = bool(signs[0] != 0.0 and np.all(signs[1:] == -signs[:-1]))
-        magnitudes = np.abs(values)
-        # comparing N against N+2 checks both parity classes at once
-        envelopes_shrink = bool(np.all(magnitudes[2:] <= magnitudes[:-2]))
-        object.__setattr__(self, "supports_binary", alternating and envelopes_shrink)
+        classes = [values[start::2] for start in (0, 1) if start < values.size]
+        rising = tuple(bool(c[0] <= c[-1]) for c in classes)
+        monotone = all(
+            np.all(c[1:] >= c[:-1]) if up else np.all(c[1:] <= c[:-1])
+            for c, up in zip(classes, rising)
+        )
+        # A monotone class keeps one sign and shrinks in magnitude exactly
+        # when it runs toward zero from its first row to a last row of that
+        # sign; the signs of the two classes must then differ.
+        signs = [
+            1 if c[0] >= c[-1] > 0.0 else -1 if c[0] <= c[-1] < 0.0 else 0 for c in classes
+        ]
+        alternating = signs in ([1], [-1], [1, -1], [-1, 1])
+        object.__setattr__(self, "class_rising", rising if monotone else None)
+        object.__setattr__(self, "supports_binary", monotone and alternating)
 
     @property
     def n_max(self) -> int:

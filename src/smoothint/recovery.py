@@ -6,16 +6,16 @@ when several rows fit:
 * threshold: first table row whose integral magnitude drops below epsilon,
   the pure "how deep is the cancellation" reading.
 * table scan / table binary: first row whose value lies within epsilon of an
-  observed target.  The two differ only in their method tag and in how a
-  table that does not alternate is reported.
+  observed target.  The two differ only in their method tag, which for
+  binary also reports whether the table alternates.
 * spline: continuous inversion of the tabulated map.
 * analytic local: exact inversion of one linear segment of the fractional
   map.
 
-On tables whose signs alternate under a shrinking magnitude envelope, the
-threshold and table searches all bisect the two monotone parity classes,
-O(log n); other tables are scanned, O(n).  Every path answers exactly as
-the scan would.
+When each parity class of a table's rows is monotone, not necessarily
+strictly, the threshold and table searches all bisect the two classes,
+O(log n); a table with a class that turns is scanned, O(n).  Every path
+answers exactly as the scan would.
 
 A failed search returns ``None``; it is an expected outcome, not an error.
 """
@@ -86,26 +86,23 @@ class RecoveryResult:
 def _first_within(table: IntegralTable, target: float, epsilon: float) -> int | None:
     """Index of the first row with abs(value - target) < epsilon, or None.
 
-    On a ``supports_binary`` table the rows of each parity class share a
-    sign and shrink in magnitude, so the negative class ascends toward zero
-    and the positive class descends toward it.  Rounding is monotone, so the
-    float gap fl(value - target) rises along the negative class and
-    fl(target - value), which is exactly its negation, rises along the
-    positive one; the class's qualifying rows therefore form one run, and
+    On a table whose parity classes are monotone (``class_rising`` is not
+    ``None``), rounding is monotone too, so the float gap fl(value - target)
+    never falls along a rising class, and fl(target - value), which is
+    exactly its negation, never falls along a falling one.  A class's
+    qualifying rows therefore form one run, flat stretches included, and
     its start is one bisection of the strided view away: O(log n), no copy.
     The test is the scan's own ``abs(gap) < epsilon`` at every probed row,
     so the answer is the scan's bit for bit.  Other tables are scanned.
     """
     values = table.values
-    if not table.supports_binary:
+    if table.class_rising is None:
         hits = np.flatnonzero(np.abs(values - target) < epsilon)
         return int(hits[0]) if hits.size else None
     firsts = []
-    for start in (0, 1):
+    for start, rising in enumerate(table.class_rising):
         rows = values[start::2]
-        if rows.size == 0:
-            continue
-        gap = (lambda v: v - target) if rows[0] < 0.0 else (lambda v: target - v)
+        gap = (lambda v: v - target) if rising else (lambda v: target - v)
         j = bisect.bisect_right(rows, -epsilon, key=gap)
         if j < rows.size and gap(rows[j]) < epsilon:
             firsts.append(start + 2 * j)
@@ -126,35 +123,16 @@ def _row_result(
     )
 
 
-def recover_threshold(
-    table: IntegralTable, epsilon: float, require_local_min: bool = False
-) -> RecoveryResult | None:
+def recover_threshold(table: IntegralTable, epsilon: float) -> RecoveryResult | None:
     """Smallest tabulated N with |I(N)| < epsilon, or None.
 
-    With ``require_local_min`` the row must also be no larger in magnitude
-    than its neighbours (one-sided at the table edges).  The flag is off by
-    default: on tables whose magnitude envelope decreases monotonically,
-    every interior row is beaten by its successor and only the last row
-    could ever qualify.
-
-    Cost: O(log n) on ``supports_binary`` tables, where the plain search is
-    the parity-class bisection of :func:`recover_binary` aimed at zero;
-    O(n) on other tables and whenever ``require_local_min`` is set.
+    Cost: the search of :func:`recover_match` aimed at zero, so O(log n) on
+    a table whose parity classes are monotone and O(n) on any other.
     """
     epsilon = check_positive("epsilon", epsilon)
-    if not require_local_min:
-        return _row_result(
-            table, _first_within(table, 0.0, epsilon), 0.0, epsilon, RecoveryMethod.THRESHOLD
-        )
-    magnitudes = np.abs(table.values)
-    hits = magnitudes < epsilon
-    ok_left = np.ones(table.n_max, dtype=bool)
-    ok_right = np.ones(table.n_max, dtype=bool)
-    ok_left[1:] = magnitudes[1:] <= magnitudes[:-1]
-    ok_right[:-1] = magnitudes[:-1] <= magnitudes[1:]
-    indices = np.flatnonzero(hits & ok_left & ok_right)
-    i = int(indices[0]) if indices.size else None
-    return _row_result(table, i, 0.0, epsilon, RecoveryMethod.THRESHOLD)
+    return _row_result(
+        table, _first_within(table, 0.0, epsilon), 0.0, epsilon, RecoveryMethod.THRESHOLD
+    )
 
 
 def recover_match(
@@ -162,10 +140,10 @@ def recover_match(
 ) -> RecoveryResult | None:
     """Smallest tabulated N with |I(N) - target| < epsilon, or None.
 
-    Cost: O(log n) on ``supports_binary`` tables, through the same
-    parity-class bisection as :func:`recover_binary`; a linear scan, O(n),
-    on other tables.  Either way the result is the scan's, and the method
-    tag is table-scan.
+    Cost: O(log n) when each parity class of the rows is monotone
+    (``table.class_rising`` is not ``None``), through one bisection per
+    class; a linear scan, O(n), on other tables.  Either way the result is
+    the scan's, and the method tag is table-scan.
     """
     target = check_real("target", target)
     epsilon = check_positive("epsilon", epsilon)
@@ -177,19 +155,17 @@ def recover_match(
 def recover_binary(
     table: IntegralTable, target: float, epsilon: float
 ) -> RecoveryResult | None:
-    """Same answer as :func:`recover_match`, in logarithmic time.
+    """Same answer as :func:`recover_match`, by the same search.
 
-    On a table that alternates in sign under a shrinking magnitude envelope
-    (``supports_binary``) the parity classes are the sign classes, and each
-    is monotone (negative rows ascend toward zero, positive rows descend
-    toward zero).  Within each, the rows matching the target form one
-    contiguous run, so the earliest match per class is one bisection of the
-    strided view ``values[0::2]`` or ``values[1::2]`` away, O(log n) with no
-    copy.  The overall answer is the earlier of the two class results.
+    Cost: O(log n) when each parity class of the rows is monotone, O(n)
+    otherwise.  Within a monotone class the rows matching the target form
+    one contiguous run, so the earliest match per class is one bisection of
+    the strided view ``values[0::2]`` or ``values[1::2]`` away, with no
+    copy; the overall answer is the earlier of the two class results.
 
-    Tables whose rows do not alternate with shrinking magnitudes cannot be
-    searched this way; those fall back to the linear scan, O(n), and the
-    result's method tag (table-scan) records the degraded path.
+    The method tag is table-binary only on a table that alternates in sign
+    under a shrinking magnitude envelope (``supports_binary``); on any
+    other table the call is :func:`recover_match`'s, tagged table-scan.
     """
     target = check_real("target", target)
     epsilon = check_positive("epsilon", epsilon)

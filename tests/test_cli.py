@@ -101,6 +101,15 @@ def test_recover_binary_and_threshold(capsys, table_path):
     assert payload["stable"] is False
 
 
+def test_recover_has_no_local_min_option(capsys, table_path):
+    code, _, err = run(
+        capsys, "recover", "--table", str(table_path),
+        "--epsilon", "0.01", "--method", "threshold", "--require-local-min",
+    )
+    assert code == 2
+    assert "--require-local-min" in err
+
+
 def test_recover_spline_reports_rounded(capsys, table_path):
     code, out, _ = run(
         capsys, "recover", "--table", str(table_path),

@@ -220,11 +220,37 @@ def test_tail_bound_dominates_generalized_tail(alpha, beta, gamma, n):
     assert tail <= tail_bound(fam, n) + 1e-3
 
 
-def test_tail_bound_unsupported_families():
-    with pytest.raises(NotImplementedError):
-        tail_bound(ExpPoly(), 5)
-    with pytest.raises(NotImplementedError):
-        tail_bound(Trig(), 5)
+def test_tail_bound_closed_forms_of_exppoly_and_trig():
+    for n in (1, 5, 30):
+        assert tail_bound(ExpPoly(2.0), n) == 1.0 / (n + 1) ** 2.0 + math.exp(-1.0) ** (n + 1) / (
+            1.0 - math.exp(-1.0)
+        )
+        assert tail_bound(Trig(), n) == math.exp(-(n + 1)) / (n + 1)
+
+
+@pytest.mark.parametrize("family", [ExpPoly(1.0), ExpPoly(1.5), ExpPoly(3.0), Trig()], ids=repr)
+def test_tail_bound_dominates_the_exact_tail(family):
+    # mpmath is an oracle here only; the library stays numpy-only
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        if isinstance(family, Trig):
+            # sum of (-1)^n e^-n / n = -ln(1 + 1/e)
+            limit = -mpmath.log(1 + mpmath.exp(-1))
+            term = lambda k: (-1) ** k * mpmath.exp(-k) / k
+        else:
+            # Li_p(1/e) plus the alternating sum of (-1)^n / n^p, which is -eta(p)
+            p = mpmath.mpf(family.p)
+            limit = mpmath.polylog(p, mpmath.exp(-1)) - mpmath.altzeta(p)
+            term = lambda k: (mpmath.exp(-k) + (-1) ** k) / mpmath.mpf(k) ** p
+        partial = mpmath.mpf(0)
+        for n in range(1, 61):
+            partial += term(n)
+            assert abs(limit - partial) <= tail_bound(family, n), n
+
+
+def test_tail_bound_rejects_a_non_family():
+    with pytest.raises(TypeError, match="CoefficientFamily"):
+        tail_bound("canonical", 5)
 
 
 def test_tail_bound_rejects_bad_index():

@@ -3,14 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothint import (
     Canonical,
     EncoderConfig,
+    ExpPoly,
+    Generalized,
     IntegralTable,
     Mode,
     Sigmoid,
     Smoothstep,
+    Trig,
     area_scale,
     build_table,
     integral_closed,
@@ -162,6 +167,41 @@ def test_table_without_alternation_disables_binary():
 def test_table_with_growing_envelope_disables_binary():
     table = IntegralTable(delta=None, family=None, values=np.array([-0.1, 0.2, -0.3, 0.4]))
     assert not table.supports_binary
+
+
+def signs_and_magnitudes(values):
+    """The supports_binary rule as first written: signs strictly alternate
+    and each parity class's magnitude never grows."""
+    signs = np.sign(values)
+    magnitudes = np.abs(values)
+    return bool(
+        signs[0] != 0.0
+        and np.all(signs[1:] == -signs[:-1])
+        and np.all(magnitudes[2:] <= magnitudes[:-2])
+    )
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from([2.0, 1.0, 0.5, 0.0, -0.0, -0.5, -1.0, -2.0]), min_size=1, max_size=8))
+def test_supports_binary_is_the_sign_and_magnitude_rule(values):
+    table = IntegralTable(delta=None, family=None, values=np.array(values))
+    assert table.supports_binary is signs_and_magnitudes(table.values)
+    if table.supports_binary:
+        assert table.class_rising is not None
+
+
+def test_class_directions_of_each_family():
+    for family, rising in [
+        (Canonical(), (True, False)),
+        (Trig(), (True, False)),
+        (ExpPoly(1.0), (True, False)),
+        (Generalized(0.3, 2.0, 1.5), (True, False)),
+        (Generalized(-0.4, 0.0, 1.0), (True, False)),
+        (Generalized(0.99, 1.0, 1.0), None),  # its even-N class turns near N = 724
+    ]:
+        table = build_table(EncoderConfig(family=family, delta=0.2), 2000)
+        assert table.class_rising == rising, family
+    assert IntegralTable(delta=None, family=None, values=[0.5]).class_rising == (True,)
 
 
 def test_quadrature_agrees_with_closed_form(canonical_config):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothint import (
+    FAMILIES,
     Canonical,
     EncoderConfig,
     ExpPoly,
@@ -50,6 +51,20 @@ def neighbours(x):
     return [float(np.nextafter(x, -np.inf)), float(x), float(np.nextafter(x, np.inf))]
 
 
+def assert_searches_equal_the_scan(table, target, epsilon):
+    expected = scan(table.values, target, epsilon)
+    binary_tag = RecoveryMethod.TABLE_BINARY if table.supports_binary else RecoveryMethod.TABLE_SCAN
+    assert outcome(recover_match(table, target, epsilon), RecoveryMethod.TABLE_SCAN) == expected
+    assert outcome(recover_binary(table, target, epsilon), binary_tag) == expected
+    if target == 0.0:
+        assert outcome(recover_threshold(table, epsilon), RecoveryMethod.THRESHOLD) == expected
+
+
+def edge_targets(value, epsilon):
+    """Targets on the edges of a row's tolerance and the floats beside them."""
+    return neighbours(value - epsilon) + neighbours(value + epsilon)
+
+
 @st.composite
 def alternating_rows(draw):
     """A table alternating in sign under shrinking magnitudes, a row and an epsilon.
@@ -84,20 +99,11 @@ def test_threshold_first_crossing(table30):
 
 
 def test_threshold_stable_flag(table30):
+    # stable means |I(n)| < epsilon/2, so noise below epsilon/2 cannot unseat the row
     result = recover_threshold(table30, 0.13)
     assert result.n == 2
     assert result.residual == 0.06266570686577501
     assert result.stable  # residual below epsilon / 2
-
-
-def test_threshold_local_min_only_matches_the_last_row(table30):
-    # magnitudes shrink monotonically, so interior rows always lose to
-    # their successor and the table edge is the only local minimum
-    result = recover_threshold(table30, 0.01, require_local_min=True)
-    assert result.n == 30
-    # stable means |I(n)| < epsilon/2, so noise below epsilon/2 cannot unseat the row
-    assert not result.stable
-    assert recover_threshold(table30, 0.02, require_local_min=True).stable
 
 
 def test_threshold_none_when_too_tight(table30):
@@ -165,13 +171,10 @@ def test_searches_equal_the_scan_at_tolerance_edges(case):
     # against target +/- epsilon instead of |value - target| can disagree
     table, i, epsilon = case
     value = float(table.values[i])
-    for target in neighbours(value - epsilon) + neighbours(value + epsilon):
-        expected = scan(table.values, target, epsilon)
-        assert outcome(recover_match(table, target, epsilon), RecoveryMethod.TABLE_SCAN) == expected
-        assert outcome(recover_binary(table, target, epsilon), RecoveryMethod.TABLE_BINARY) == expected
+    for target in edge_targets(value, epsilon):
+        assert_searches_equal_the_scan(table, target, epsilon)
     for threshold in neighbours(abs(value)):
-        expected = scan(table.values, 0.0, threshold)
-        assert outcome(recover_threshold(table, threshold), RecoveryMethod.THRESHOLD) == expected
+        assert_searches_equal_the_scan(table, 0.0, threshold)
 
 
 def test_binary_agrees_with_scan_at_a_boundary_target():
@@ -191,6 +194,90 @@ def test_binary_falls_back_without_alternation():
     result = recover_binary(table, 0.2, 0.05)
     assert result.n == 2
     assert result.method is RecoveryMethod.TABLE_SCAN  # degraded path is visible
+
+
+@st.composite
+def family_tables(draw):
+    """A table of any registered family, with drawn parameters, at 1-3 or up to 2000 rows."""
+    kind = draw(st.sampled_from(sorted(FAMILIES) + ["turning"]))
+    if kind == "generalized":
+        family = Generalized(
+            draw(st.floats(min_value=-0.99, max_value=0.99)),
+            draw(st.floats(min_value=-3.0, max_value=3.0)),
+            draw(st.floats(min_value=1.0, max_value=3.0)),
+        )
+    elif kind == "exppoly":
+        family = ExpPoly(draw(st.floats(min_value=1.0, max_value=4.0)))
+    elif kind == "turning":
+        family = Generalized(0.99, 1.0, 1.0)  # its even-N class turns near N = 724
+    else:
+        family = FAMILIES[kind]()
+    n = draw(st.one_of(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=2000)))
+    delta = draw(st.sampled_from([1e-3, 0.2, 5.0]))
+    return build_table(EncoderConfig(family=family, delta=delta), n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    table=family_tables(),
+    row=st.integers(min_value=0),
+    exponent=st.floats(min_value=-14.0, max_value=0.5),
+)
+def test_every_family_searches_equal_the_scan(table, row, exponent):
+    value = float(table.values[row % table.n_max])
+    epsilon = max(abs(value), 1e-300) * 10.0**exponent
+    for target in edge_targets(value, epsilon):
+        assert_searches_equal_the_scan(table, target, epsilon)
+    for threshold in neighbours(abs(value)):
+        if threshold > 0.0:
+            assert_searches_equal_the_scan(table, 0.0, threshold)
+    # misses: beyond every row, and between the rows at a tolerance finer than their spacing
+    assert_searches_equal_the_scan(table, float(np.max(np.abs(table.values))) + 1.0, epsilon)
+    assert_searches_equal_the_scan(table, value + 2.0 * epsilon, epsilon / 4.0)
+
+
+@pytest.mark.parametrize(
+    "values, class_rising, supports_binary",
+    [
+        # flat runs in both classes
+        ([3.0, -1.0, 2.0, -1.0, 2.0, -1.0, 2.0, -0.5, 1.0, -0.5, 1.0], (False, True), True),
+        # both classes flat from the start, the shape of Trig's rows past row 34
+        ([-0.3, -0.2, -0.3, -0.2, -0.3, -0.2], (True, True), False),
+        # +0.0 beside -0.0: the comparisons treat them as equal
+        ([0.0, -0.0, -0.0, 0.0, 0.0, -0.0], (True, True), False),
+        ([1.0, -0.0, 0.0, 0.0, -0.0], (False, True), False),
+        # one element out of order in the even-row class
+        ([1.0, 0.0, 3.0, 0.0, 2.0, 0.0, 4.0], None, False),
+        ([2.0, -1.0, 1.5, -0.5, 1.6, -0.25, 0.5], None, False),
+    ],
+)
+def test_crafted_tables_search_as_the_scan(values, class_rising, supports_binary):
+    table = IntegralTable(delta=None, family=None, values=np.array(values))
+    assert table.class_rising == class_rising
+    assert table.supports_binary is supports_binary
+    for epsilon in (1e-3, 0.25, 0.5, 1.0, 2.0):
+        for value in set(values) | {0.0}:
+            for target in edge_targets(value, epsilon):
+                assert_searches_equal_the_scan(table, target, epsilon)
+        assert_searches_equal_the_scan(table, 0.0, epsilon)
+
+
+def test_a_trig_table_is_bisected_but_keeps_the_scan_tag(monkeypatch):
+    table = build_table(EncoderConfig(family=Trig(), delta=0.2), 10**4)
+    # odd N rise toward the limit -ln(1 + 1/e), even N fall toward it, so
+    # both classes are monotone but share one sign
+    assert table.class_rising == (True, False)
+    assert not table.supports_binary
+    target, epsilon = table.value_at(5), 1e-9
+    expected = scan(table.values, target, epsilon)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the table was scanned")
+
+    monkeypatch.setattr(np, "flatnonzero", fail)
+    assert outcome(recover_match(table, target, epsilon), RecoveryMethod.TABLE_SCAN) == expected
+    assert outcome(recover_binary(table, target, epsilon), RecoveryMethod.TABLE_SCAN) == expected
+    assert expected[0] == 5
 
 
 def test_spline_hits_exact_knot(table30):
