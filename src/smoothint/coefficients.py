@@ -247,6 +247,11 @@ def tail_bound(family: CoefficientFamily, n: int) -> float:
     :class:`Trig` alternate and shrink in magnitude, so its bound is the
     first omitted term alone, e^-(n + 1) / (n + 1).
 
+    A bound that underflows is returned as the smallest subnormal,
+    ``math.ulp(0.0)``, so it never reads 0.0 for a positive tail.  Where
+    (n + 1)^gamma exceeds the float range, the alternating part is bounded
+    by |beta| * 2^-1023, rounded up.
+
     Args:
         family: a coefficient family instance.
         n: number of leading terms already summed, must be >= 1.
@@ -256,18 +261,25 @@ def tail_bound(family: CoefficientFamily, n: int) -> float:
 
     Raises:
         TypeError: ``family`` is not a coefficient family, or ``n`` is not an integer.
-        ValueError: if ``n`` < 1.
+        ValueError: if ``n`` < 1, or ``n + 1`` is beyond the float range.
     """
     n = check_int("n", n, 1)
     _check_family(family)
+    try:
+        m = float(n + 1)
+    except OverflowError:
+        raise ValueError(f"n must be below 2**1024, got a {n.bit_length()}-bit integer") from None
     if isinstance(family, Trig):
-        return math.exp(-(n + 1)) / (n + 1)
+        return max(math.exp(-m) / m, math.ulp(0.0))
     if isinstance(family, Canonical):
         alpha, beta, gamma = 0.5, 1.0, 1.0
     elif isinstance(family, Generalized):
         alpha, beta, gamma = family.alpha, family.beta, family.gamma
     else:
         alpha, beta, gamma = math.exp(-1.0), 1.0, family.p
-    alternating_part = abs(beta) / (n + 1) ** gamma
-    geometric_part = abs(alpha) ** (n + 1) / (1.0 - abs(alpha))
-    return alternating_part + geometric_part
+    try:
+        alternating_part = abs(beta) / m**gamma
+    except OverflowError:  # m**gamma > 2**1023
+        alternating_part = math.nextafter(math.ldexp(abs(beta), -1023), math.inf)
+    geometric_part = abs(alpha) ** m / (1.0 - abs(alpha))
+    return max(alternating_part + geometric_part, math.ulp(0.0))

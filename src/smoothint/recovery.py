@@ -14,8 +14,12 @@ when several rows fit:
 
 When each parity class of a table's rows is monotone, not necessarily
 strictly, the threshold and table searches all bisect the two classes,
-O(log n); a table with a class that turns is scanned, O(n).  Every path
-answers exactly as the scan would.
+O(log n); a table with a class that turns is scanned, O(n).  The bisection
+runs in C, as ``bisect`` over a memoryview of each strided class for the
+level target -/+ epsilon.  Rounding of that level can move the result by a
+row, so the scan's own gap test is then applied at the boundary it found,
+and a bisection keyed on that test finishes the search when the boundary
+fails it.  Every path answers exactly as the scan would.
 
 A failed search returns ``None``; it is an expected outcome, not an error.
 """
@@ -23,6 +27,7 @@ A failed search returns ``None``; it is an expected outcome, not an error.
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -90,10 +95,20 @@ def _first_within(table: IntegralTable, target: float, epsilon: float) -> int | 
     ``None``), rounding is monotone too, so the float gap fl(value - target)
     never falls along a rising class, and fl(target - value), which is
     exactly its negation, never falls along a falling one.  A class's
-    qualifying rows therefore form one run, flat stretches included, and
-    its start is one bisection of the strided view away: O(log n), no copy.
-    The test is the scan's own ``abs(gap) < epsilon`` at every probed row,
-    so the answer is the scan's bit for bit.  Other tables are scanned.
+    qualifying rows therefore form one run, flat stretches included, whose
+    start is the first row with gap > -epsilon.
+
+    Each class is searched in C: ``bisect`` over a memoryview of the
+    strided view ``values[start::2]`` (no copy; its items are Python floats
+    with the array's bits) for the rounded level target - epsilon, or
+    target + epsilon on a falling class.  That hint j can sit a row off the
+    scan's boundary, because fl(target -/+ epsilon) rounds, so the scan's
+    own gap test proves it: gap(row j) > -epsilon and not gap(row j - 1) >
+    -epsilon, with the gap monotone, make j the first such row.  When a
+    test fails, a bisection keyed on the gap finishes the search on the
+    side that test names.  The final test is the scan's ``gap < epsilon``,
+    so the answer is the scan's bit for bit, in O(log n).  Other tables are
+    scanned, O(n).
     """
     values = table.values
     if table.class_rising is None:
@@ -101,26 +116,33 @@ def _first_within(table: IntegralTable, target: float, epsilon: float) -> int | 
         return int(hits[0]) if hits.size else None
     firsts = []
     for start, rising in enumerate(table.class_rising):
-        rows = values[start::2]
-        gap = (lambda v: v - target) if rising else (lambda v: target - v)
-        j = bisect.bisect_right(rows, -epsilon, key=gap)
-        if j < rows.size and gap(rows[j]) < epsilon:
+        rows = memoryview(values[start::2])
+        if rising:
+            gap = target.__rsub__  # v - target
+            j = bisect.bisect_right(rows, target - epsilon)
+        else:
+            gap = target.__sub__  # target - v
+            j = bisect.bisect_right(rows, -(target + epsilon), key=operator.neg)
+        if j < len(rows) and not gap(rows[j]) > -epsilon:
+            j = bisect.bisect_right(rows, -epsilon, lo=j + 1, key=gap)
+        elif j > 0 and gap(rows[j - 1]) > -epsilon:
+            j = bisect.bisect_right(rows, -epsilon, hi=j - 1, key=gap)
+        if j < len(rows) and gap(rows[j]) < epsilon:
             firsts.append(start + 2 * j)
     return min(firsts, default=None)
 
 
-def _row_result(
-    table: IntegralTable, i: int | None, target: float, epsilon: float, method: RecoveryMethod
+def _recover_row(
+    table: IntegralTable, target: float, epsilon: float, method: RecoveryMethod
 ) -> RecoveryResult | None:
+    """Validate, search and report the first row within ``epsilon`` of ``target``."""
+    target = check_real("target", target)
+    epsilon = check_positive("epsilon", epsilon)
+    i = _first_within(table, target, epsilon)
     if i is None:
         return None
-    residual = float(abs(table.values[i] - target))
-    return RecoveryResult(
-        n=i + 1,
-        residual=residual,
-        method=method,
-        stable=bool(residual < epsilon / 2.0),
-    )
+    residual = abs(table.values.item(i) - target)
+    return RecoveryResult(n=i + 1, residual=residual, method=method, stable=residual < epsilon / 2.0)
 
 
 def recover_threshold(table: IntegralTable, epsilon: float) -> RecoveryResult | None:
@@ -129,10 +151,7 @@ def recover_threshold(table: IntegralTable, epsilon: float) -> RecoveryResult | 
     Cost: the search of :func:`recover_match` aimed at zero, so O(log n) on
     a table whose parity classes are monotone and O(n) on any other.
     """
-    epsilon = check_positive("epsilon", epsilon)
-    return _row_result(
-        table, _first_within(table, 0.0, epsilon), 0.0, epsilon, RecoveryMethod.THRESHOLD
-    )
+    return _recover_row(table, 0.0, epsilon, RecoveryMethod.THRESHOLD)
 
 
 def recover_match(
@@ -141,15 +160,12 @@ def recover_match(
     """Smallest tabulated N with |I(N) - target| < epsilon, or None.
 
     Cost: O(log n) when each parity class of the rows is monotone
-    (``table.class_rising`` is not ``None``), through one bisection per
-    class; a linear scan, O(n), on other tables.  Either way the result is
-    the scan's, and the method tag is table-scan.
+    (``table.class_rising`` is not ``None``): one C-level ``bisect`` per
+    class over a memoryview of its strided view, whose boundary the scan's
+    own gap test then proves.  A linear scan, O(n), on other tables.
+    Either way the result is the scan's, and the method tag is table-scan.
     """
-    target = check_real("target", target)
-    epsilon = check_positive("epsilon", epsilon)
-    return _row_result(
-        table, _first_within(table, target, epsilon), target, epsilon, RecoveryMethod.TABLE_SCAN
-    )
+    return _recover_row(table, target, epsilon, RecoveryMethod.TABLE_SCAN)
 
 
 def recover_binary(
@@ -159,21 +175,17 @@ def recover_binary(
 
     Cost: O(log n) when each parity class of the rows is monotone, O(n)
     otherwise.  Within a monotone class the rows matching the target form
-    one contiguous run, so the earliest match per class is one bisection of
-    the strided view ``values[0::2]`` or ``values[1::2]`` away, with no
-    copy; the overall answer is the earlier of the two class results.
+    one contiguous run, so the earliest match per class is one C-level
+    ``bisect`` over a memoryview of ``values[0::2]`` or ``values[1::2]``
+    away, with no copy, plus the scan's gap test at the boundary; the
+    overall answer is the earlier of the two class results.
 
     The method tag is table-binary only on a table that alternates in sign
     under a shrinking magnitude envelope (``supports_binary``); on any
-    other table the call is :func:`recover_match`'s, tagged table-scan.
+    other table it is table-scan.
     """
-    target = check_real("target", target)
-    epsilon = check_positive("epsilon", epsilon)
-    if not table.supports_binary:
-        return recover_match(table, target, epsilon)
-    return _row_result(
-        table, _first_within(table, target, epsilon), target, epsilon, RecoveryMethod.TABLE_BINARY
-    )
+    method = RecoveryMethod.TABLE_BINARY if table.supports_binary else RecoveryMethod.TABLE_SCAN
+    return _recover_row(table, target, epsilon, method)
 
 
 def recover_spline(

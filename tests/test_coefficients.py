@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -256,6 +257,25 @@ def test_tail_bound_rejects_a_non_family():
 def test_tail_bound_rejects_bad_index():
     with pytest.raises(ValueError):
         tail_bound(Canonical(), 0)
+
+
+@pytest.mark.parametrize("family, n", [(Trig(), 800), (Generalized(0.5, 0.0, 1.0), 2000)], ids=repr)
+def test_tail_bound_never_underflows_to_zero(family, n):
+    # e^-801 / 801 and 0.5^2001 / 0.5 lie below the smallest subnormal, but the tails are positive
+    assert tail_bound(family, n) == math.ulp(0.0)
+
+
+def test_tail_bound_where_the_power_overflows():
+    # (n + 1)^3 is about 1e309, beyond the float range; the exact alternating part is about 1e-9
+    n = 10**103
+    bound = tail_bound(Generalized(0.5, 1e300, 3.0), n)
+    assert Fraction(1e300) / (n + 1) ** 3 <= Fraction(bound) < 1.0
+
+
+def test_tail_bound_refuses_an_index_beyond_the_float_range():
+    assert tail_bound(Canonical(), 2**1000) == 1.0 / 2.0**1000
+    with pytest.raises(ValueError, match=r"below 2\*\*1024"):
+        tail_bound(Canonical(), 10**400)
 
 
 def _refuse(*args, **kwargs):

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -260,6 +261,94 @@ def test_crafted_tables_search_as_the_scan(values, class_rising, supports_binary
             for target in edge_targets(value, epsilon):
                 assert_searches_equal_the_scan(table, target, epsilon)
         assert_searches_equal_the_scan(table, 0.0, epsilon)
+
+
+def alternating(magnitudes):
+    return np.array([m if i % 2 == 0 else -m for i, m in enumerate(magnitudes)])
+
+
+TINY = alternating([3e-300, 2e-300, 1e-300, 1e-300, 5e-301, 0.0])
+SUBNORMAL = alternating([4e-323, 3e-323, 2e-323, 1e-323, 5e-324, 5e-324, 0.0])
+CANONICAL_1001 = build_table(EncoderConfig(family=Canonical(), delta=0.2), 1001).values
+
+
+def read_only(values):
+    values = np.array(values)
+    values.flags.writeable = False
+    return values
+
+
+@pytest.mark.parametrize(
+    "values, targets, epsilons",
+    [
+        # |target| far above epsilon: fl(target -/+ epsilon) is target itself
+        (CANONICAL_1001, [0.5, -0.5, 1e3], [1e-17, 1e-12]),
+        # epsilon far above |target|: fl(target -/+ epsilon) is -/+epsilon
+        (CANONICAL_1001, [1e-300, -1e-300, 5e-324], [0.05, 0.2]),
+        # a target of 1e20 beside rows near 1e-300, where v - target rounds to -target
+        (TINY, [1e20, -1e20], [1e20, 2e20, 1e4]),
+        (SUBNORMAL, [0.0, -0.0, 5e-324, -5e-324, 1.5e-323], [5e-324, 1e-323, 2e-323, 1e-300]),
+        (np.array([0.0, -0.0, -0.0, 0.0, 0.0, -0.0]), [0.0, -0.0, 5e-324, -5e-324], [5e-324, 1.0]),
+        # views the search must read in place: reversed, read-only, both
+        (CANONICAL_1001[::-1], [0.01, -0.003], [1e-6, 1e-3]),
+        (read_only(CANONICAL_1001), [0.01, -0.003], [1e-6, 1e-3]),
+        (read_only(TINY)[::-1], [1e-300, 0.0], [1e-300, 5e-301]),
+    ],
+    ids=["big-target", "big-epsilon", "1e20-target", "subnormal", "signed-zeros", "reversed",
+         "read-only", "reversed-read-only"],
+)
+def test_searches_equal_the_scan_where_the_level_rounds(values, targets, epsilons):
+    table = IntegralTable(delta=None, family=None, values=values)
+    assert table.class_rising is not None
+    assert table.values.flags.writeable == values.flags.writeable
+    assert np.shares_memory(table.values, values)  # the table keeps the caller's view
+    for epsilon in epsilons:
+        for target in targets:
+            for t in neighbours(target) + edge_targets(target, epsilon):
+                if math.isfinite(t):
+                    assert_searches_equal_the_scan(table, t, epsilon)
+        for value in set(values[:: max(1, values.size // 50)].tolist()):
+            for target in edge_targets(value, epsilon):
+                assert_searches_equal_the_scan(table, target, epsilon)
+
+
+def c_hint(rows, target, epsilon, rising):
+    """The bisection's first guess: the first row beyond the rounded level target -/+ epsilon."""
+    if rising:
+        return bisect.bisect_right(rows, target - epsilon)
+    return bisect.bisect_right([-v for v in rows], -(target + epsilon))
+
+
+def scan_start(rows, target, epsilon, rising):
+    """The scan's start of the run: the first row whose gap exceeds -epsilon."""
+    gaps = [v - target if rising else target - v for v in rows]
+    return next((k for k, gap in enumerate(gaps) if gap > -epsilon), len(rows))
+
+
+@pytest.mark.parametrize(
+    "rows, target, epsilon, rising, late, hit",
+    [
+        # fl(target - epsilon) rounds onto row 2, whose gap is above -epsilon
+        ([-5.0, -4.0, 0.09998861868168263, 1.0, 2.0], 0.1, 1.1381318317382854e-05, True, True, True),
+        # fl(target - epsilon) rounds below row 1, whose gap is at -epsilon
+        ([-5.0, 0.01782141633691187, 1.0, 2.0], 0.1, 0.08217858366308814, True, False, False),
+        ([5.0, 4.0, -1.7431387344500968, -3.0, -4.0], -1.743142250751236, 3.5163011391816637e-06,
+         False, True, True),
+        ([5.0, -0.1745759069011457, -3.0], -0.5247881549107163, 0.3502122480095706,
+         False, False, False),
+    ],
+    ids=["rising-late", "rising-early", "falling-late", "falling-early"],
+)
+def test_a_hint_a_row_off_is_corrected_on_its_side(rows, target, epsilon, rising, late, hit):
+    # a late hint is finished below it, an early one above it
+    hint, start = c_hint(rows, target, epsilon, rising), scan_start(rows, target, epsilon, rising)
+    assert hint == start + 1 if late else hint == start - 1
+    values = np.full(2 * len(rows), 100.0)
+    values[0::2] = rows
+    table = IntegralTable(delta=None, family=None, values=values)
+    assert table.class_rising == (rising, True)
+    assert_searches_equal_the_scan(table, target, epsilon)
+    assert (recover_match(table, target, epsilon) is not None) is hit
 
 
 def test_a_trig_table_is_bisected_but_keeps_the_scan_tag(monkeypatch):
