@@ -32,7 +32,7 @@ def main() -> None:
     table = build_table(config, 30)
 
     print("integral map I(N), first rows:")
-    for n, value in table.rows[:8]:
+    for n, value in enumerate(table.values[:8].tolist(), start=1):
         print(f"  I({n:2d}) = {value:+.6f}")
     print("  ... magnitudes decay roughly like 1/N while signs alternate")
 
@@ -51,7 +51,7 @@ def main() -> None:
         print(f"  N = {n:2d}:  |I| = {abs(table.value_at(n)):.6f}  <=  {bound:.6f}")
 
     if plt is not None:
-        ns = table.ns
+        ns = np.arange(1, table.n_max + 1)
         fig, ax = plt.subplots(figsize=(7, 4))
         ax.stem(ns, table.values, basefmt="gray")
         envelope = scale * np.array([tail_bound(Canonical(), int(n)) for n in ns])

@@ -175,7 +175,6 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 def _cmd_plot_data(args: argparse.Namespace) -> int:
     family = _family_from_args(args)
-    lines = ["x,y"]
     if args.what == "counter":
         if args.n is None:
             print("error: --n is required for --what counter", file=sys.stderr)
@@ -183,7 +182,8 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
         config = EncoderConfig(family=family, delta=args.delta, mode=Mode.FRACTIONAL)
         t_lo, t_hi = args.range if args.range else (0.0, args.n + 3.0)
         ts, values = counter_grid(config, args.n, t_lo, t_hi, args.points)
-        lines += [f"{t:.17g},{v:.17g}" for t, v in zip(ts, values)]
+        count = ts.size
+        rows = (f"{t:.17g},{v:.17g}" for t, v in zip(ts.tolist(), values.tolist()))
     elif args.what in ("imap", "partials"):
         if args.n is None:
             print(f"error: --n is required for --what {args.what}", file=sys.stderr)
@@ -195,16 +195,19 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
         sums = partial_sums(family, count)
         if args.what == "imap":
             sums = area_scale(args.delta) * sums
-        lines += [f"{n},{v:.17g}" for n, v in enumerate(sums, start=1)]
+        rows = (f"{n},{v:.17g}" for n, v in enumerate(sums.tolist(), start=1))
     else:  # smooth
         t_lo, t_hi = args.range if args.range else (0.0, 10.0)
         config = EncoderConfig(
             family=family, delta=args.delta, mode=Mode.SMOOTH, transition=Sigmoid(args.sharpness)
         )
-        for n_value in np.linspace(t_lo, t_hi, _check_row_count(args.points)).tolist():
-            lines.append(f"{n_value:.17g},{integral_closed(config, n_value):.17g}")
-    write_lines(args.out, lines)
-    print(f"wrote {len(lines) - 1} rows to {args.out}")
+        xs = np.linspace(t_lo, t_hi, _check_row_count(args.points)).tolist()
+        # computed before the file opens, so a refused N leaves no file behind
+        ys = [integral_closed(config, x) for x in xs]
+        count = len(xs)
+        rows = (f"{x:.17g},{y:.17g}" for x, y in zip(xs, ys))
+    write_lines(args.out, itertools.chain(["x,y"], rows))
+    print(f"wrote {count} rows to {args.out}")
     return EXIT_OK
 
 

@@ -47,18 +47,19 @@ def area_scale(delta: float) -> float:
     return check_positive("delta", delta) * math.sqrt(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntegralTable:
     """Tabulated integral map I(N) for N = 1..n_max, no gaps.
 
-    Row i of ``values`` holds I(i + 1); ``n_max`` and ``ns`` are derived
-    from it.  ``family`` and ``delta`` may be ``None`` for tables loaded
-    from files that carry no provenance (the CSV form); such tables remain
-    fully usable for recovery, which only reads the rows.
+    Row i of ``values`` holds I(i + 1); ``n_max`` is derived from it.
+    ``family`` and ``delta`` may be ``None`` for tables loaded from files
+    that carry no provenance (the CSV form); such tables remain fully usable
+    for recovery, which only reads the rows.
 
     The constructor trusts its caller's values: only their finiteness is
     checked here.  :func:`build_table` computes them from the closed form,
-    and the file loaders check what they read before constructing a table.
+    and :func:`~smoothint.tableio.load_table` checks what it reads before
+    constructing a table.  Tables compare and hash by identity.
 
     The search structure is derived from the rows once, at construction, in
     one comparison pass over each parity class ``values[0::2]`` and
@@ -77,7 +78,7 @@ class IntegralTable:
     delta: float | None
     family: CoefficientFamily | None
     values: np.ndarray
-    class_rising: tuple[bool, ...] | None = field(init=False, repr=False, compare=False)
+    class_rising: tuple[bool, ...] | None = field(init=False, repr=False)
     supports_binary: bool = field(init=False)
 
     def __post_init__(self) -> None:
@@ -106,15 +107,6 @@ class IntegralTable:
     @property
     def n_max(self) -> int:
         return len(self.values)
-
-    @property
-    def ns(self) -> np.ndarray:
-        """Row numbers 1..n_max, allocated on each read."""
-        return np.arange(1, self.n_max + 1)
-
-    @property
-    def rows(self) -> list[tuple[int, float]]:
-        return list(enumerate(self.values.tolist(), start=1))
 
     def value_at(self, n: int) -> float:
         """I(n) for a tabulated n, raising if n is outside 1..n_max."""

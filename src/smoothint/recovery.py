@@ -34,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from ._validate import check_int, check_nonnegative, check_positive, check_real
-from .coefficients import coefficient, partial_sum
+from .coefficients import _check_row_count, coefficient, partial_sum
 from .encoder import EncoderConfig
 from .integral_map import IntegralTable, area_scale
 from .interp import find_root_bracketed, spline_derivative, spline_eval, spline_fit
@@ -312,11 +312,12 @@ def noise_sweep(
 
     Raises:
         TypeError: ``true_n``, ``trials`` or ``seed`` is not an integer, or a real is not a number.
-        ValueError: ``true_n`` off the table, ``trials`` < 1, ``seed`` < 0, or a bad real.
+        ValueError: ``true_n`` off the table, ``trials`` < 1 or over ``MAX_ROWS``,
+            ``seed`` < 0, or a bad real.
     """
     epsilon = check_positive("epsilon", epsilon)
     true_value = table.value_at(true_n)
-    trials = check_int("trials", trials, 1)
+    trials = _check_row_count(check_int("trials", trials, 1))
     seed = check_int("seed", seed, 0)
     amplitudes = [check_nonnegative("noise amplitude", a) for a in amplitudes]
     earlier = np.sort(table.values[: true_n - 1])

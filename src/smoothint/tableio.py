@@ -19,8 +19,9 @@ Two on-disk forms:
   is enough to reproduce every double exactly.  The CSV form carries no
   metadata, so tables loaded from it have no family or width attached.
 
-All files are written with newline-only line endings.  A load reads its file
-once, and every error it raises names the file.
+All files are written with newline-only line endings.  :func:`load_table` is
+the one reader for both forms: it reads its file once, and every error it
+raises names the file.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ import typing
 
 import numpy as np
 
-from ._validate import check_real
+from ._validate import check_positive, check_real
 from .coefficients import FAMILIES, CoefficientFamily, partial_sums
-from .encoder import EncoderConfig
 from .integral_map import IntegralTable, area_scale
 
 __all__ = [
@@ -42,9 +42,7 @@ __all__ = [
     "family_descriptor",
     "family_from_descriptor",
     "save_table_json",
-    "load_table_json",
     "save_table_csv",
-    "load_table_csv",
     "load_table",
     "write_lines",
 ]
@@ -92,14 +90,6 @@ def _gap_error(path) -> ValueError:
     return ValueError(f"rows of {path} must run 1..n_max in order with no gaps")
 
 
-def _read(path) -> str:
-    with open(path) as handle:
-        try:
-            return handle.read()
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"malformed table file {path}: {exc}") from exc
-
-
 def write_lines(path, lines) -> None:
     """Write each line of an iterable as it comes, ending every one with a newline."""
     with open(path, "w", newline="") as handle:
@@ -123,21 +113,10 @@ def save_table_json(table: IntegralTable, path) -> None:
         "format_version": FORMAT_VERSION,
     }
     meta_text = json.dumps({"meta": meta}, indent=2, sort_keys=True)
-    rows_text = ",\n".join([f"    [\n      {n},\n      {value!r}\n    ]" for n, value in table.rows])
+    rows = enumerate(table.values.tolist(), start=1)
+    rows_text = ",\n".join([f"    [\n      {n},\n      {value!r}\n    ]" for n, value in rows])
     # "rows" sorts after "meta", so it goes where the meta-only document closes
     write_lines(path, [meta_text.removesuffix("\n}") + ",", '  "rows": [', rows_text, "  ]", "}"])
-
-
-def load_table_json(path) -> IntegralTable:
-    """Load a JSON table, checking its provenance.
-
-    The row numbers, n_max and the format version must be JSON integers, the
-    width and the family parameters JSON numbers.  The rows must run 1..n_max
-    with n_max as declared in the meta block, and their values must agree
-    with the closed form of the declared family and width (rtol = atol =
-    1e-12), so an edited file cannot pose as that family's table.
-    """
-    return _parse_json(_read(path), path)
 
 
 def _parse_json(text: str, path) -> IntegralTable:
@@ -150,8 +129,7 @@ def _parse_json(text: str, path) -> IntegralTable:
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported format version {version!r}")
         family = family_from_descriptor(meta["family"])
-        delta = check_real("meta.delta", meta["delta"])
-        EncoderConfig(family=family, delta=delta)  # refuses a width that is not > 0
+        delta = check_positive("meta.delta", check_real("meta.delta", meta["delta"]))
         n_max = meta["n_max"]
         rows = document["rows"]
         ns = [row[0] for row in rows]
@@ -172,17 +150,8 @@ def _parse_json(text: str, path) -> IntegralTable:
 
 def save_table_csv(table: IntegralTable, path) -> None:
     """Write rows as ``N,I`` lines at 17 significant digits."""
-    write_lines(path, itertools.chain(["N,I"], (f"{n},{value:.17g}" for n, value in table.rows)))
-
-
-def load_table_csv(path) -> IntegralTable:
-    """Load a CSV table; the result carries no family or width metadata.
-
-    Blank lines and whitespace around a line are ignored.  Each row holds
-    one comma, a row number ``int()`` accepts before it and a value
-    ``float()`` accepts after it.
-    """
-    return _parse_csv(_read(path), path)
+    rows = enumerate(table.values.tolist(), start=1)
+    write_lines(path, itertools.chain(["N,I"], (f"{n},{value:.17g}" for n, value in rows)))
 
 
 def _parse_csv(text: str, path) -> IntegralTable:
@@ -220,8 +189,29 @@ def _raise_malformed_row(rows: list[str], path) -> typing.NoReturn:
 
 
 def load_table(path) -> IntegralTable:
-    """Load either on-disk form, sniffing JSON by its leading brace; the file is read once."""
-    text = _read(path)
+    """Load either on-disk form, sniffing JSON by its leading brace; the file is read once.
+
+    JSON: the row numbers, n_max and the format version must be JSON
+    integers, the width and the family parameters JSON numbers, and the
+    width positive.  The rows must run 1..n_max with n_max as declared in
+    the meta block, and their values must agree with the closed form of the
+    declared family and width (rtol = atol = 1e-12), so an edited file
+    cannot pose as that family's table.
+
+    CSV: the result carries no family or width metadata.  Blank lines and
+    whitespace around a line are ignored.  Each row holds one comma, a row
+    number ``int()`` accepts before it and a value ``float()`` accepts after
+    it, and the values must be finite.
+
+    Raises:
+        OSError: the file cannot be read.
+        ValueError: the file is malformed or fails a check above.
+    """
+    with open(path) as handle:
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"malformed table file {path}: {exc}") from exc
     if text[:64].lstrip().startswith("{"):  # the head only: lstrip would copy the whole text
         return _parse_json(text, path)
     return _parse_csv(text, path)

@@ -33,7 +33,7 @@ from smoothint import (
     tail_bound,
 )
 from smoothint.cli import main as cli_main
-from smoothint.tableio import load_table_json, save_table_json
+from smoothint.tableio import load_table, save_table_json
 
 DISCRETE = EncoderConfig(family=Canonical(), delta=0.2)
 FRACTIONAL = EncoderConfig(family=Canonical(), delta=0.2, mode=Mode.FRACTIONAL)
@@ -244,7 +244,7 @@ def test_criterion_11_cli_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     payload = json.loads(out)
     resaved = tmp_path / "c.json"
-    save_table_json(load_table_json(first), resaved)
+    save_table_json(load_table(first), resaved)
     byte_identical = (
         first.read_bytes() == second.read_bytes()
         and first.read_bytes() == resaved.read_bytes()

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import itertools
 import json
 import tracemalloc
@@ -355,6 +356,21 @@ def test_grid_lines_hold_one_block_beside_the_grid(monkeypatch):
     assert peak < 4 * 2**20
 
 
+def test_plot_data_streams_its_rows(capsys, tmp_path):
+    path = tmp_path / "partials.csv"
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, "plot-data", "--what", "partials", "--n", "200000", "--out", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(path.read_text().splitlines()) == 200001
+    # streamed, the peak is the sums and their floats, about 8 MB; a writer
+    # that holds all 200000 lines in one list peaks at about 19 MB
+    assert peak < 12 * 2**20
+
+
 @pytest.mark.parametrize("n_max", ["1000,1000,1000", "100000,100000"])
 def test_multidim_refuses_grids_over_the_cell_cap(capsys, tmp_path, n_max):
     path = tmp_path / "grid.csv"
@@ -389,6 +405,18 @@ def test_plot_data_refuses_point_counts_over_the_cap(capsys, tmp_path, monkeypat
     path = tmp_path / "out.csv"
     code, out, err = run(
         capsys, "plot-data", "--what", *what, "--points", "1000000000", "--out", str(path)
+    )
+    assert code == 2
+    assert out == ""
+    assert "exceeds the limit of 10000000 rows" in err
+    assert not path.exists()
+
+
+def test_sweep_refuses_trials_over_the_cap(capsys, tmp_path, table_path):
+    path = tmp_path / "sweep.csv"
+    code, out, err = run(
+        capsys, "sweep", "--table", str(table_path), "--true-n", "8", "--epsilon", "0.005",
+        "--amplitudes", "0.001", "--trials", "10000000000000", "--out", str(path),
     )
     assert code == 2
     assert out == ""
@@ -450,3 +478,64 @@ def test_json_with_a_boolean_width_is_exit_2(capsys, table_path):
     code, _, err = run(capsys, "recover", "--table", str(table_path), "--target", "0", "--epsilon", "0.1")
     assert code == 2
     assert "malformed table file" in err
+
+
+# Two families, each through every command that writes a file.  The table
+# commands of a sweep write its input; every command's output is "out".
+PINNED_FAMILIES = {
+    "canonical": [],
+    "generalized": [
+        "--family", "generalized", "--alpha", "0.3", "--beta", "2", "--gamma", "1.5", "--delta", "0.35"
+    ],
+}
+SWEEP = [
+    "sweep", "--true-n", "8", "--epsilon", "0.005", "--amplitudes", "0,0.001,0.01", "--trials", "200", "--seed", "3"
+]
+PINNED_COMMANDS = {
+    "table-json": [["table", "--n-max", "40", "--out", "out"]],
+    "table-csv": [["table", "--n-max", "40", "--format", "csv", "--out", "out"]],
+    "plot-counter": [["plot-data", "--what", "counter", "--n", "7.5", "--points", "400", "--out", "out"]],
+    "plot-imap": [["plot-data", "--what", "imap", "--n", "50", "--out", "out"]],
+    "plot-partials": [["plot-data", "--what", "partials", "--n", "50", "--out", "out"]],
+    "plot-smooth": [
+        ["plot-data", "--what", "smooth", "--range", "0:12", "--points", "300", "--sharpness", "4", "--out", "out"]
+    ],
+    "sweep-json": [["table", "--n-max", "30", "--out", "t.json"], [*SWEEP, "--table", "t.json", "--out", "out"]],
+    "sweep-csv": [
+        ["table", "--n-max", "30", "--format", "csv", "--out", "t.csv"],
+        [*SWEEP, "--table", "t.csv", "--out", "out"],
+    ],
+    "multidim": [["multidim", "--n-max", "12,9", "--out", "out"]],
+}
+# sha256 of each output, so a change to any written byte fails here
+PINNED_DIGESTS = {
+    "canonical/table-json": "797f80d7365257d5a478fa6a1b13057874317bf1eaffca8297f0324b675d3be5",
+    "canonical/table-csv": "4dc5a514dd58bdc3ef38cf5ee8de72baeb04fb0d45349e65880fc4440034aa1f",
+    "canonical/plot-counter": "92ab47e1bf5529421414a2c9a35b83ecfe6e73beafe673cd9700d25a2fd3e3e1",
+    "canonical/plot-imap": "dbac96613030fdcfc008b452afb7efce957141c562cd0258215eca4be53e2cc0",
+    "canonical/plot-partials": "820418a255a946f7e19a7306563a625ee070f5f83f60971e298eda39fd46b9e6",
+    "canonical/plot-smooth": "b0b0d4fbff6642d7eb44d38fd29b57de6e11aca6dda63941c3d65a4d1f0b8a15",
+    "canonical/sweep-json": "d45593a6884d1cdc564eb64b0c5273ee08e6f92bb3c7c8a2e5aec753a9d01cc3",
+    "canonical/sweep-csv": "d45593a6884d1cdc564eb64b0c5273ee08e6f92bb3c7c8a2e5aec753a9d01cc3",
+    "canonical/multidim": "ff58a1fb6f6f9ba3e3eeecc131d681fdd2e7270b6c59ff4443969049b85b82c4",
+    "generalized/table-json": "6831c9755753ac56d74a13a2bde1fccb94e6ad87c23ae556a9fdfb8551190556",
+    "generalized/table-csv": "846a1fa433b0bc03da5b86c86a45105b668d43679cc49ce7f017f3ebf2ee730e",
+    "generalized/plot-counter": "8f270c9495a56661161803543a2b5c0d2a4f27cd269b1f1bdaedbab2d6b1ea07",
+    "generalized/plot-imap": "71f75fa6b877246c97cf26d8a832944a6a9f05ec8c79b6bbbb10f04619097828",
+    "generalized/plot-partials": "61254e1e204b840bd806ab9f89e6c93b1e11816629dcc855843b9f6e1e0c7ab3",
+    "generalized/plot-smooth": "0fa8c37ae0b6248838fd91265291c2873ea3896712601f2a143eb3a92bb6480b",
+    "generalized/sweep-json": "0f6b224209e12277867ca28f09c20dddc23d923511f83255cc3548bf6ba03e12",
+    "generalized/sweep-csv": "0f6b224209e12277867ca28f09c20dddc23d923511f83255cc3548bf6ba03e12",
+    "generalized/multidim": "f6119847a8cfd5809e82b89eaabbe8c464c54c5bb5aa62b0540ede1d5de5d273",
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_DIGESTS))
+def test_written_files_are_pinned(capsys, tmp_path, monkeypatch, case):
+    kind, command = case.split("/")
+    monkeypatch.chdir(tmp_path)
+    for argv in PINNED_COMMANDS[command]:
+        flags = PINNED_FAMILIES[kind] if argv[0] != "sweep" else []
+        assert main([*argv, *flags]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == PINNED_DIGESTS[case]

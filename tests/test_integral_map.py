@@ -20,7 +20,7 @@ from smoothint import (
     build_table,
     integral_closed,
     integral_quadrature,
-    load_table_json,
+    load_table,
     map_derivative_smooth,
     partial_sums,
     save_table_json,
@@ -99,7 +99,6 @@ def test_smooth_integral_weighted_sum():
 
 def test_build_table_matches_closed_form(canonical_config, table30):
     assert table30.n_max == 30
-    assert np.array_equal(table30.ns, np.arange(1, 31))
     for n, expected in KNOWN_VALUES.items():
         assert table30.value_at(n) == expected
         assert table30.value_at(n) == integral_closed(canonical_config, n)
@@ -121,12 +120,6 @@ def test_table_supports_binary(table30):
     assert table30.supports_binary
 
 
-def test_table_rows_property(table30):
-    rows = table30.rows
-    assert rows[7] == (8, KNOWN_VALUES[8])
-    assert len(rows) == 30
-
-
 def test_table_value_at_validation(table30):
     with pytest.raises(ValueError):
         table30.value_at(31)
@@ -141,7 +134,14 @@ def test_table_stores_only_its_values(table30):
     assert settable == ["delta", "family", "values"]
     table = IntegralTable(delta=None, family=None, values=table30.values[:5])
     assert table.n_max == 5
-    assert np.array_equal(table.ns, np.arange(1, 6))
+    assert np.array_equal(table.values, table30.values[:5])
+
+
+def test_tables_compare_and_hash_by_identity(table30):
+    twin = IntegralTable(delta=table30.delta, family=table30.family, values=table30.values.copy())
+    assert table30 == table30
+    assert table30 != twin  # equal values, a distinct table, and no array truth value raised
+    assert {table30, twin, table30} == {table30, twin}
 
 
 def test_table_rejects_nonfinite_values():
@@ -156,7 +156,7 @@ def test_table_rejects_values_off_the_closed_form(tmp_path):
     path = tmp_path / "t.json"
     save_table_json(IntegralTable(delta=0.2, family=Canonical(), values=values), path)
     with pytest.raises(ValueError, match="closed form"):
-        load_table_json(path)
+        load_table(path)
 
 
 def test_table_without_alternation_disables_binary():

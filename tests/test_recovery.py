@@ -491,6 +491,15 @@ def test_noise_sweep_is_reproducible(table30):
     assert a == b
 
 
+def test_noise_sweep_refuses_trials_over_the_cap_before_drawing(table30, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the generator was called")
+
+    monkeypatch.setattr(np.random, "default_rng", fail)
+    with pytest.raises(ValueError, match="exceeds the limit of 10000000 rows"):
+        noise_sweep(table30, 8, 0.005, [0.001], trials=10**13)
+
+
 def test_noise_sweep_validation(table30):
     with pytest.raises(ValueError):
         noise_sweep(table30, 8, 0.005, [-0.1])

@@ -19,8 +19,6 @@ from smoothint import (
     Trig,
     build_table,
     load_table,
-    load_table_csv,
-    load_table_json,
     save_table_csv,
     save_table_json,
 )
@@ -52,7 +50,7 @@ def json_module_bytes(table):
             "n_max": table.n_max,
             "format_version": FORMAT_VERSION,
         },
-        "rows": table.rows,
+        "rows": [[n, value] for n, value in enumerate(table.values.tolist(), start=1)],
     }
     return (json.dumps(document, indent=2, sort_keys=True) + "\n").encode()
 
@@ -85,11 +83,10 @@ def per_row_load_table_csv(path):
 def test_json_round_trip(table30, tmp_path):
     path = tmp_path / "t.json"
     save_table_json(table30, path)
-    loaded = load_table_json(path)
+    loaded = load_table(path)
     assert loaded.n_max == 30
     assert loaded.delta == 0.2
     assert loaded.family == Canonical()
-    assert np.array_equal(loaded.ns, table30.ns)
     assert np.array_equal(loaded.values, table30.values)
     assert loaded.supports_binary
 
@@ -98,14 +95,14 @@ def test_json_save_load_save_is_byte_identical(table30, tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
     save_table_json(table30, first)
-    save_table_json(load_table_json(first), second)
+    save_table_json(load_table(first), second)
     assert first.read_bytes() == second.read_bytes()
 
 
 def test_csv_round_trip(table30, tmp_path):
     path = tmp_path / "t.csv"
     save_table_csv(table30, path)
-    loaded = load_table_csv(path)
+    loaded = load_table(path)
     # 17 significant digits reproduce every double exactly
     assert np.array_equal(loaded.values, table30.values)
     assert loaded.family is None
@@ -136,7 +133,7 @@ def test_load_table_sniffs_both_forms(table30, tmp_path):
 def test_metadata_free_table_refuses_json_save(table30, tmp_path):
     csv_path = tmp_path / "t.csv"
     save_table_csv(table30, csv_path)
-    bare = load_table_csv(csv_path)
+    bare = load_table(csv_path)
     with pytest.raises(ValueError, match="CSV instead"):
         save_table_json(bare, tmp_path / "no.json")
 
@@ -155,27 +152,27 @@ def test_tampered_json_rows_are_rejected(table30, tmp_path):
 
     path = _edited_json(table30, tmp_path / "t.json", tamper)
     with pytest.raises(ValueError, match="closed form"):
-        load_table_json(path)
+        load_table(path)
 
 
 def test_loaders_reject_gaps(table30, tmp_path):
     csv_path = tmp_path / "t.csv"
     csv_path.write_text("N,I\n1,-0.2\n2,0.1\n4,-0.05\n")
     with pytest.raises(ValueError, match="1..n_max"):
-        load_table_csv(csv_path)
+        load_table(csv_path)
 
     def skip_row_30(document):
         document["rows"][29][0] = 31
 
     json_path = _edited_json(table30, tmp_path / "t.json", skip_row_30)
     with pytest.raises(ValueError, match="1..n_max"):
-        load_table_json(json_path)
+        load_table(json_path)
 
 
 def test_json_row_count_must_match_meta(table30, tmp_path):
     path = _edited_json(table30, tmp_path / "t.json", lambda d: d["rows"].pop())
     with pytest.raises(ValueError, match="meta.n_max is 30 but .* has 29 rows"):
-        load_table_json(path)
+        load_table(path)
 
 
 def _fractional_numbers(document):
@@ -204,7 +201,7 @@ def test_json_row_numbers_and_n_max_must_be_integers(tmp_path, edit):
     table5 = build_table(EncoderConfig(family=Canonical(), delta=0.2), 5)
     path = _edited_json(table5, tmp_path / "t.json", edit)
     with pytest.raises(ValueError) as excinfo:
-        load_table_json(path)
+        load_table(path)
     assert str(path) in str(excinfo.value)
 
 
@@ -255,14 +252,14 @@ def test_json_with_a_negative_width_is_rejected(table30, tmp_path):
 
     path = _edited_json(table30, tmp_path / "t.json", negate)
     with pytest.raises(ValueError, match="delta must be a positive real"):
-        load_table_json(path)
+        load_table(path)
 
 
 def test_malformed_json_rejected(tmp_path):
     path = tmp_path / "t.json"
     path.write_text(json.dumps({"rows": [[1, -0.25]]}))
     with pytest.raises(ValueError, match="malformed"):
-        load_table_json(path)
+        load_table(path)
 
 
 def test_wrong_format_version_rejected(table30, tmp_path):
@@ -272,28 +269,28 @@ def test_wrong_format_version_rejected(table30, tmp_path):
     document["meta"]["format_version"] = 99
     path.write_text(json.dumps(document))
     with pytest.raises(ValueError, match="version"):
-        load_table_json(path)
+        load_table(path)
 
 
 def test_csv_header_required(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("x,y\n1,-0.25\n")
     with pytest.raises(ValueError, match="header"):
-        load_table_csv(path)
+        load_table(path)
 
 
 def test_csv_malformed_row_rejected(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("N,I\n1,-0.25\ntwo,0.06\n")
     with pytest.raises(ValueError, match="malformed"):
-        load_table_csv(path)
+        load_table(path)
 
 
 def test_csv_empty_table_rejected(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("N,I\n")
     with pytest.raises(ValueError, match="no rows"):
-        load_table_csv(path)
+        load_table(path)
 
 
 @pytest.mark.parametrize(
@@ -321,7 +318,7 @@ def test_round_trip_preserves_family_parameters(tmp_path):
     table = build_table(EncoderConfig(family=family, delta=0.1), 12)
     path = tmp_path / "g.json"
     save_table_json(table, path)
-    loaded = load_table_json(path)
+    loaded = load_table(path)
     assert loaded.family == family
     assert loaded.delta == 0.1
 
@@ -332,14 +329,14 @@ def test_every_family_round_trips_through_both_files(family, delta, n_max):
     with tempfile.TemporaryDirectory() as workdir:
         first, second, csv_path = (Path(workdir) / name for name in ("a.json", "b.json", "t.csv"))
         save_table_json(table, first)
-        loaded = load_table_json(first)
+        loaded = load_table(first)
         assert loaded.family == family
         assert loaded.delta == delta
         assert loaded.values.tobytes() == table.values.tobytes()
         save_table_json(loaded, second)
         assert first.read_bytes() == second.read_bytes()
         save_table_csv(table, csv_path)
-        assert load_table_csv(csv_path).values.tobytes() == table.values.tobytes()
+        assert load_table(csv_path).values.tobytes() == table.values.tobytes()
 
 
 def test_load_table_opens_the_file_once(table30, tmp_path, monkeypatch):
@@ -372,7 +369,7 @@ def test_save_load_save_is_byte_identical_for_integer_and_float_parameters(tmp_p
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
     save_table_json(build_table(EncoderConfig(family=family, delta=delta), 7), first)
-    save_table_json(load_table_json(first), second)
+    save_table_json(load_table(first), second)
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -441,7 +438,7 @@ def test_csv_loader_accepts_and_refuses_what_the_per_row_parse_does(text):
         path = Path(workdir) / "t.csv"
         with open(path, "w", newline="") as handle:
             handle.write(text)
-        assert _outcome(load_table_csv, path) == _outcome(per_row_load_table_csv, path)
+        assert _outcome(load_table, path) == _outcome(per_row_load_table_csv, path)
 
 
 def test_csv_row_number_past_int64_is_a_value_error(tmp_path):
@@ -449,7 +446,7 @@ def test_csv_row_number_past_int64_is_a_value_error(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("N,I\n1,-0.25\n99999999999999999999,0.25\n")
     with pytest.raises(ValueError, match="1..n_max"):
-        load_table_csv(path)
+        load_table(path)
     with pytest.raises(OverflowError):
         per_row_load_table_csv(path)
 
@@ -470,4 +467,4 @@ def test_json_numbers_of_a_wrong_type_are_malformed(tmp_path, edit):
     table5 = build_table(EncoderConfig(family=ExpPoly(1.0), delta=0.2), 5)
     path = _edited_json(table5, tmp_path / "t.json", edit)
     with pytest.raises(ValueError, match="malformed table file"):
-        load_table_json(path)
+        load_table(path)
