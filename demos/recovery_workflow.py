@@ -10,7 +10,6 @@ import math
 from smoothint import (
     Canonical,
     EncoderConfig,
-    Mode,
     build_table,
     integral_closed,
     recover_analytic_fractional,
@@ -52,10 +51,9 @@ def main() -> None:
 
     print()
     print("continuous encodings invert exactly on one linear segment:")
-    fractional = EncoderConfig(family=Canonical(), delta=0.2, mode=Mode.FRACTIONAL)
     for true_value in (2.4, 8.75, 19.1):
-        target = integral_closed(fractional, true_value)
-        result = recover_analytic_fractional(fractional, target, math.floor(true_value))
+        target = integral_closed(config, true_value)
+        result = recover_analytic_fractional(config, target, math.floor(true_value))
         print(
             f"  N = {true_value:6.3f} -> I = {target:+.9f} -> "
             f"recovered {result.n:.12f} (error {abs(result.n - true_value):.2e})"

@@ -27,7 +27,7 @@ import numpy as np
 
 from .bumps import Sigmoid
 from .coefficients import FAMILIES, _check_row_count, partial_sums
-from .encoder import EncoderConfig, Mode, counter_grid
+from .encoder import EncoderConfig, counter_grid
 from .integral_map import area_scale, build_table, integral_closed
 from .multidim import MultiEncoderConfig, integral_multi
 from .recovery import (
@@ -179,7 +179,7 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
         if args.n is None:
             print("error: --n is required for --what counter", file=sys.stderr)
             return EXIT_USAGE
-        config = EncoderConfig(family=family, delta=args.delta, mode=Mode.FRACTIONAL)
+        config = EncoderConfig(family, args.delta)
         t_lo, t_hi = args.range if args.range else (0.0, args.n + 3.0)
         ts, values = counter_grid(config, args.n, t_lo, t_hi, args.points)
         count = ts.size
@@ -198,10 +198,8 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
         rows = (f"{n},{v:.17g}" for n, v in enumerate(sums.tolist(), start=1))
     else:  # smooth
         t_lo, t_hi = args.range if args.range else (0.0, 10.0)
-        config = EncoderConfig(
-            family=family, delta=args.delta, mode=Mode.SMOOTH, transition=Sigmoid(args.sharpness)
-        )
-        xs = np.linspace(t_lo, t_hi, _check_row_count(args.points)).tolist()
+        config = EncoderConfig(family, args.delta, transition=Sigmoid(args.sharpness))
+        xs = np.linspace(t_lo, t_hi, _check_row_count("points", args.points)).tolist()
         # computed before the file opens, so a refused N leaves no file behind
         ys = [integral_closed(config, x) for x in xs]
         count = len(xs)

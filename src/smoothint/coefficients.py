@@ -179,11 +179,14 @@ def coefficient(family: CoefficientFamily, n: int) -> float:
 MAX_ROWS = 10**7
 
 
-def _check_row_count(rows: int) -> int:
-    """Refuse, before anything is allocated, more than ``MAX_ROWS`` rows."""
-    if rows > MAX_ROWS:
-        raise ValueError(f"{rows} rows exceeds the limit of {MAX_ROWS} rows")
-    return rows
+def _check_row_count(name: str, count: int) -> int:
+    """Refuse, before anything is allocated, a ``count`` over ``MAX_ROWS``.
+
+    ``name`` is the quantity the caller counts, such as ``"trials"``.
+    """
+    if count > MAX_ROWS:
+        raise ValueError(f"{name} = {count} exceeds the limit of {MAX_ROWS}")
+    return count
 
 
 def partial_sums(family: CoefficientFamily, n_max: int) -> np.ndarray:
@@ -202,7 +205,7 @@ def partial_sums(family: CoefficientFamily, n_max: int) -> np.ndarray:
         ValueError: ``n_max`` < 1, or more than ``MAX_ROWS`` rows.
         TypeError: ``n_max`` is not an integer.
     """
-    n_max = _check_row_count(check_int("n_max", n_max, 1))
+    n_max = _check_row_count("n_max", check_int("n_max", n_max, 1))
     ns = np.arange(1, n_max + 1)
     return np.cumsum(family.coefficients(ns))
 

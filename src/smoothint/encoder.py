@@ -1,14 +1,13 @@
 """Bump-train evaluation: a counting parameter N selects how many bumps fire.
 
 The encoder places one Gaussian bump at each positive integer center n with
-amplitude a_n and a shared width.  Three interpretations of the counting
-parameter N are supported:
+amplitude a_n and a shared width.  A configuration's transition decides how
+the counting parameter N, any real >= 0, weights the bumps:
 
-* discrete: N must be an integer, bumps 1..N fire at full strength.
-* fractional: bumps 1..floor(N) fire fully and bump floor(N)+1 fires scaled
-  by the fractional part, so the train interpolates linearly between
-  consecutive integer configurations.
-* smooth: every bump n fires, weighted by a transition function evaluated
+* without a transition, bumps 1..floor(N) fire fully and bump floor(N)+1
+  fires scaled by the fractional part, so a whole N fires exactly bumps 1..N
+  and the train interpolates linearly between consecutive whole N.
+* with a transition, every bump n fires, weighted by the transition evaluated
   at (n - N), so the whole train is a smooth function of N.  The series ends
   at :func:`smooth_cutoff`, floor(N + reach): past the transition's reach a
   weight is below 2^-56 (sigmoid) or exactly 0 (smoothstep, Heaviside).
@@ -17,27 +16,20 @@ parameter N are supported:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._validate import check_int, check_nonnegative, check_positive, check_real
-from .bumps import Sigmoid, TransitionFunction
+from .bumps import TransitionFunction
 from .coefficients import MAX_ROWS, CoefficientFamily, _check_family, _check_row_count
 
-__all__ = ["Mode", "EncoderConfig", "counter_eval", "counter_grid", "smooth_cutoff", "term_weights"]
+__all__ = ["EncoderConfig", "counter_eval", "counter_grid", "smooth_cutoff", "term_weights"]
 
 # A bump further than this many widths from t is worth at most exp(-128),
 # about 2.6e-56, of its amplitude there, and under 2e-57 of its area lies that
 # far out; both are below every tolerance in the package, so it is skipped.
 _CUTOFF_WIDTHS = 16.0
-
-
-class Mode(str, Enum):
-    DISCRETE = "discrete"
-    FRACTIONAL = "fractional"
-    SMOOTH = "smooth"
 
 
 @dataclass(frozen=True)
@@ -47,37 +39,21 @@ class EncoderConfig:
     Args:
         family: coefficient family supplying the bump amplitudes.
         delta: shared bump width, > 0.
-        mode: counting interpretation, see the module docstring.
-        transition: smooth mode's gate, a ``Sigmoid`` (default ``Sigmoid(10.0)``),
-            ``Smoothstep`` or ``Heaviside``; unset in the other modes.  Its
-            ``reach`` decides where the series ends, see :func:`smooth_cutoff`.
+        transition: the smooth gate, a ``Sigmoid``, ``Smoothstep`` or
+            ``Heaviside``, or ``None`` for the linearly interpolated train;
+            see the module docstring.  Its ``reach`` decides where the smooth
+            series ends, see :func:`smooth_cutoff`.
     """
 
     family: CoefficientFamily
     delta: float = 0.2
-    mode: Mode = Mode.DISCRETE
-    transition: TransitionFunction | None = field(default=None)
+    transition: TransitionFunction | None = None
 
     def __post_init__(self) -> None:
         _check_family(self.family)
         check_positive("delta", self.delta)
-        if not isinstance(self.mode, Mode):
-            raise TypeError(f"mode must be a Mode, got {self.mode!r}")
-        if self.mode is Mode.SMOOTH:
-            if self.transition is None:
-                object.__setattr__(self, "transition", Sigmoid())
-            elif not isinstance(self.transition, TransitionFunction):
-                raise TypeError(f"transition must be a Sigmoid, Smoothstep or Heaviside, got {self.transition!r}")
-        elif self.transition is not None:
-            raise ValueError("transition only applies to smooth mode")
-
-
-def _check_count(config: EncoderConfig, n_value: float) -> float:
-    """``n_value`` as a float >= 0, and a whole number in discrete mode."""
-    n_value = check_nonnegative("n_value", n_value)
-    if config.mode is Mode.DISCRETE and not n_value.is_integer():
-        raise ValueError(f"discrete mode requires an integer counting parameter, got {n_value!r}")
-    return n_value
+        if self.transition is not None and not isinstance(self.transition, TransitionFunction):
+            raise TypeError(f"transition must be a Sigmoid, Smoothstep or Heaviside, got {self.transition!r}")
 
 
 def smooth_cutoff(config: EncoderConfig, n_value: float) -> int:
@@ -88,37 +64,38 @@ def smooth_cutoff(config: EncoderConfig, n_value: float) -> int:
     smooth series is cut.
 
     Raises:
-        ValueError: not smooth mode, a bad ``n_value``, or a cutoff past ``MAX_ROWS``.
+        ValueError: a configuration without a transition, a bad ``n_value``,
+            or a cutoff past ``MAX_ROWS``.
     """
-    if config.mode is not Mode.SMOOTH:
-        raise ValueError("the smooth cutoff applies to smooth mode only")
+    if config.transition is None:
+        raise ValueError("the smooth cutoff needs a configuration with a transition")
     reach = config.transition.reach
-    end = _check_count(config, n_value) + reach
+    end = check_nonnegative("n_value", n_value) + reach
     if end > MAX_ROWS:  # checked before floor(), which an infinite reach would overflow
         raise ValueError(f"N={n_value!r} plus reach {reach:g} exceeds the limit of {MAX_ROWS} rows")
     return math.floor(end)
 
 
 def term_weights(config: EncoderConfig, n_value: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bump indices and their mode weights for an evaluation at ``n_value``.
+    """Bump indices and their weights for an evaluation at ``n_value``.
 
     Returns:
         ``(ns, weights)``: integer centers 1..n_hi and a weight in [0, 1]
-        for each.  Discrete weights are all 1; fractional weights are 1
-        except a trailing fractional entry; smooth weights come from the
-        transition function.
+        for each.  Without a transition the weights are 1, except a trailing
+        fractional entry when ``n_value`` is not whole; with one they come
+        from the transition function.
 
     Raises:
-        ValueError: negative or non-finite ``n_value``, a non-integer ``n_value``
-            in discrete mode, or more than ``coefficients.MAX_ROWS`` indices.
+        ValueError: negative or non-finite ``n_value``, or more than
+            ``coefficients.MAX_ROWS`` indices.
     """
-    n_value = _check_count(config, n_value)
-    if config.mode is Mode.SMOOTH:
+    n_value = check_nonnegative("n_value", n_value)
+    if config.transition is not None:
         ns = np.arange(1, smooth_cutoff(config, n_value) + 1)
         return ns, np.asarray(config.transition(ns - n_value), dtype=float)
     k = math.floor(n_value)
     frac = n_value - k
-    rows = _check_row_count(k if frac == 0.0 else k + 1)
+    rows = _check_row_count("rows", k if frac == 0.0 else k + 1)
     weights = np.ones(rows)
     if frac != 0.0:
         weights[-1] = frac
@@ -155,8 +132,7 @@ def counter_eval(config: EncoderConfig, n_value: float, t: float) -> float:
     """Value of the bump train at position ``t`` for counting parameter ``n_value``.
 
     Raises:
-        ValueError: non-finite ``t``, negative ``n_value``, or a fractional
-            ``n_value`` in discrete mode.
+        ValueError: non-finite ``t``, or a negative or non-finite ``n_value``.
     """
     t = check_real("t", t)
     return float(_accumulate(config, n_value, np.array([t]))[0])
@@ -188,5 +164,5 @@ def counter_grid(
     t_min, t_max = check_real("t_min", t_min), check_real("t_max", t_max)
     if t_min >= t_max:
         raise ValueError(f"need t_min < t_max, got [{t_min!r}, {t_max!r}]")
-    ts = np.linspace(t_min, t_max, _check_row_count(check_int("points", points, 2)))
+    ts = np.linspace(t_min, t_max, _check_row_count("points", check_int("points", points, 2)))
     return ts, _accumulate(config, n_value, ts)

@@ -6,10 +6,10 @@ scaled running coefficient sum
 
     I(N) = delta * sqrt(2 pi) * S(N)
 
-in discrete mode, with the fractional and smooth modes replacing S(N) by
-their weighted variants.  Because S(N) drifts toward zero while alternating,
-I(N) encodes N as the depth of a near-cancellation, and the table type here
-is the lookup structure every recovery strategy consumes.
+at a whole N, with the interpolated and the smoothly gated trains replacing
+S(N) by their weighted variants.  Because S(N) drifts toward zero while
+alternating, I(N) encodes N as the depth of a near-cancellation, and the
+table type here is the lookup structure every recovery strategy consumes.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._validate import check_int, check_positive, check_real
+from ._validate import check_int, check_nonnegative, check_positive, check_real
 from .bumps import Sigmoid
 from .coefficients import CoefficientFamily, _check_row_count, coefficient, partial_sum, partial_sums
-from .encoder import EncoderConfig, Mode, _accumulate, _check_count, smooth_cutoff, term_weights
+from .encoder import EncoderConfig, _accumulate, smooth_cutoff, term_weights
 
 __all__ = [
     "IntegralTable",
@@ -118,15 +118,16 @@ class IntegralTable:
 def integral_closed(config: EncoderConfig, n_value: float) -> float:
     """Exact area under the bump train, by linearity of the integral.
 
-    Discrete mode: scale * S(N).  Fractional mode: scale * (S(floor(N)) +
-    frac * a_(floor(N)+1)).  Smooth mode: scale times the transition-weighted
-    coefficient sum through :func:`~smoothint.encoder.smooth_cutoff`.
+    Without a transition: scale * S(N) at a whole N, and scale * (S(floor(N))
+    + frac * a_(floor(N)+1)) otherwise.  With one: scale times the
+    transition-weighted coefficient sum through
+    :func:`~smoothint.encoder.smooth_cutoff`.
     """
     scale = area_scale(config.delta)
-    if config.mode is Mode.SMOOTH:
+    if config.transition is not None:
         ns, weights = term_weights(config, n_value)
         return scale * float(np.dot(weights, config.family.coefficients(ns)))
-    n_value = _check_count(config, n_value)
+    n_value = check_nonnegative("n_value", n_value)
     k = math.floor(n_value)
     frac = n_value - k
     if frac == 0.0:
@@ -135,14 +136,14 @@ def integral_closed(config: EncoderConfig, n_value: float) -> float:
 
 
 def build_table(config: EncoderConfig, n_max: int) -> IntegralTable:
-    """Tabulate I(N) for N = 1..n_max under a discrete-mode configuration.
+    """Tabulate I(N) for N = 1..n_max under a configuration without a transition.
 
     Raises:
         TypeError: ``n_max`` is not an integer.
-        ValueError: not discrete mode, ``n_max`` < 1, or over ``MAX_ROWS`` rows.
+        ValueError: a configuration with a transition, ``n_max`` < 1, or over ``MAX_ROWS`` rows.
     """
-    if config.mode is not Mode.DISCRETE:
-        raise ValueError("tables are built from discrete-mode configurations")
+    if config.transition is not None:
+        raise ValueError("tables are built from configurations without a transition")
     values = area_scale(config.delta) * partial_sums(config.family, n_max)
     return IntegralTable(delta=config.delta, family=config.family, values=values)
 
@@ -159,8 +160,8 @@ def integral_quadrature(
     The closed form is exact, so this exists as an independent cross-check.
     To keep the result within 1e-6 of the closed form the sample grid must
     be dense enough and the domain must reach 5 widths past the outermost
-    bumps with weight (in smooth mode, the last one within the transition's
-    reach); violations raise instead of silently returning an imprecise value.
+    bumps with weight (with a transition, the last one within its reach);
+    violations raise instead of silently returning an imprecise value.
 
     Args:
         config: encoder configuration.
@@ -172,17 +173,17 @@ def integral_quadrature(
         TypeError: ``points`` is not an integer, or a real is not a number.
         ValueError: a non-finite real, t_min >= t_max, too few or too many ``points``, or a truncated domain.
     """
-    n_value = _check_count(config, n_value)
+    n_value = check_nonnegative("n_value", n_value)
     t_min, t_max = check_real("t_min", t_min), check_real("t_max", t_max)
     if t_min >= t_max:
         raise ValueError(f"need t_min < t_max, got [{t_min!r}, {t_max!r}]")
-    points = _check_row_count(check_int("points", points, 2))
+    points = _check_row_count("points", check_int("points", points, 2))
     if points < _MIN_POINTS_PER_UNIT * (t_max - t_min):
         raise ValueError(
             f"{points} points is too sparse for [{t_min}, {t_max}]; "
             f"need at least {_MIN_POINTS_PER_UNIT:g} per unit length"
         )
-    last_weighted = smooth_cutoff(config, n_value) if config.mode is Mode.SMOOTH else math.ceil(n_value)
+    last_weighted = math.ceil(n_value) if config.transition is None else smooth_cutoff(config, n_value)
     if last_weighted >= 1:
         margin = _DOMAIN_MARGIN_WIDTHS * config.delta
         need_lo, need_hi = 1 - margin, last_weighted + margin
@@ -203,9 +204,9 @@ def map_derivative_smooth(config: EncoderConfig, n_value: float) -> float:
     with those factors.  Only the logistic transition has this closed form;
     other transitions raise.
     """
-    if config.mode is not Mode.SMOOTH or not isinstance(config.transition, Sigmoid):
-        raise ValueError("derivative requires smooth mode with a Sigmoid transition")
-    n_value = _check_count(config, n_value)
+    if not isinstance(config.transition, Sigmoid):
+        raise ValueError("derivative requires a Sigmoid transition")
+    n_value = check_nonnegative("n_value", n_value)
     ns = np.arange(1, smooth_cutoff(config, n_value) + 1)
     # d/dN sigma(n - N) is minus the x-derivative at x = n - N
     gain = -config.transition.derivative(ns - n_value)

@@ -124,7 +124,7 @@ def _axis_limits(config: MultiEncoderConfig, n_max) -> list[int]:
     limits = [n_max] * config.dimension if np.ndim(n_max) == 0 else list(n_max)
     if len(limits) != config.dimension:
         raise ValueError(f"expected {config.dimension} axis limits, got {len(limits)}")
-    return [_check_row_count(check_int("n_max", limit, 1)) for limit in limits]
+    return [_check_row_count("n_max", check_int("n_max", limit, 1)) for limit in limits]
 
 
 def recover_multi(

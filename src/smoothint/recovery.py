@@ -55,6 +55,10 @@ __all__ = [
 # is too flat to trust; results are still returned but flagged.
 DEFAULT_STABILITY_EPSILON = 1e-6
 
+# Draws noise_sweep makes and decides at once: about seven arrays of this
+# many elements, about 4 MiB, are alive per block.
+_SWEEP_BLOCK_DRAWS = 1 << 16
+
 
 class RecoveryMethod(str, Enum):
     THRESHOLD = "threshold"
@@ -244,7 +248,7 @@ def recover_analytic_fractional(
     On [k, k+1] the fractional map is the line I(N) = I(k) + (N - k) *
     scale * a_(k+1), so a target inside the segment's value range maps back
     to N in closed form.  Only the family and width of ``config`` matter
-    here; the mode field is not consulted.  The result is stable when the
+    here; its transition is not consulted.  The result is stable when the
     slope |dI/dN| = |scale * a_(k+1)| exceeds ``DEFAULT_STABILITY_EPSILON``.
 
     Args:
@@ -298,12 +302,14 @@ def noise_sweep(
     order, so a (seed, amplitudes, trials) triple always reproduces the
     same stream.
 
-    All draws of an amplitude are decided in one vectorized pass, on every
-    table, alternating or not.  A draw recovers ``true_n`` when row
-    ``true_n`` matches and no earlier row does.  fl(value - target) is
-    monotone in the value, so if any earlier row matches, one of the
-    target's two neighbours among the sorted earlier rows does; checking
-    those two takes one ``searchsorted`` per amplitude.  Cost: one
+    The draws of an amplitude are made and decided in vectorized blocks of
+    ``_SWEEP_BLOCK_DRAWS``, on every table, alternating or not.  Consecutive
+    draws continue one stream, so the block size changes no result, and
+    memory stays one block's worth at any ``trials``.  A draw recovers
+    ``true_n`` when row ``true_n`` matches and no earlier row does.
+    fl(value - target) is monotone in the value, so if any earlier row
+    matches, one of the target's two neighbours among the sorted earlier
+    rows does; checking those two takes one ``searchsorted`` per block.  Cost: one
     O(n log n) sort per call plus O(trials log n) per amplitude, the same
     on ``supports_binary`` tables and others.
 
@@ -317,19 +323,23 @@ def noise_sweep(
     """
     epsilon = check_positive("epsilon", epsilon)
     true_value = table.value_at(true_n)
-    trials = _check_row_count(check_int("trials", trials, 1))
+    trials = _check_row_count("trials", check_int("trials", trials, 1))
     seed = check_int("seed", seed, 0)
     amplitudes = [check_nonnegative("noise amplitude", a) for a in amplitudes]
     earlier = np.sort(table.values[: true_n - 1])
     rng = np.random.default_rng(seed)
     results = []
     for amplitude in amplitudes:
-        targets = true_value + rng.uniform(-amplitude, amplitude, trials)
-        hits = np.abs(true_value - targets) < epsilon
-        if earlier.size:
-            above = np.minimum(np.searchsorted(earlier, targets), earlier.size - 1)
-            below = np.maximum(above - 1, 0)
-            for neighbour in (earlier[below], earlier[above]):
-                hits &= ~(np.abs(neighbour - targets) < epsilon)
-        results.append((amplitude, int(np.count_nonzero(hits)) / trials))
+        hit_count = 0
+        for start in range(0, trials, _SWEEP_BLOCK_DRAWS):
+            draws = min(_SWEEP_BLOCK_DRAWS, trials - start)
+            targets = true_value + rng.uniform(-amplitude, amplitude, draws)
+            hits = np.abs(true_value - targets) < epsilon
+            if earlier.size:
+                above = np.minimum(np.searchsorted(earlier, targets), earlier.size - 1)
+                below = np.maximum(above - 1, 0)
+                for neighbour in (earlier[below], earlier[above]):
+                    hits &= ~(np.abs(neighbour - targets) < epsilon)
+            hit_count += int(np.count_nonzero(hits))
+        results.append((amplitude, hit_count / trials))
     return results

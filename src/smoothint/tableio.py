@@ -49,6 +49,10 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
+# Rows the JSON writer formats and joins at once, so the text of the whole
+# table is never held.
+_JSON_BLOCK_ROWS = 1 << 14
+
 
 def family_descriptor(family: CoefficientFamily) -> dict:
     """JSON-ready tagged description of a coefficient family, parameters as floats."""
@@ -102,7 +106,8 @@ def save_table_json(table: IntegralTable, path) -> None:
     The bytes are those of ``json.dumps(document, indent=2, sort_keys=True)``.
     Only the meta block goes through ``json``, whose indenting encoder runs
     in pure Python; each row is one f-string, and ``repr`` is the text
-    ``json`` writes for a finite float.
+    ``json`` writes for a finite float.  The rows are joined and written in
+    blocks of ``_JSON_BLOCK_ROWS``.
     """
     if table.family is None or table.delta is None:
         raise ValueError("table has no family/width metadata; save it as CSV instead")
@@ -113,10 +118,17 @@ def save_table_json(table: IntegralTable, path) -> None:
         "format_version": FORMAT_VERSION,
     }
     meta_text = json.dumps({"meta": meta}, indent=2, sort_keys=True)
-    rows = enumerate(table.values.tolist(), start=1)
-    rows_text = ",\n".join([f"    [\n      {n},\n      {value!r}\n    ]" for n, value in rows])
     # "rows" sorts after "meta", so it goes where the meta-only document closes
-    write_lines(path, [meta_text.removesuffix("\n}") + ",", '  "rows": [', rows_text, "  ]", "}"])
+    head = [meta_text.removesuffix("\n}") + ",", '  "rows": [']
+    write_lines(path, itertools.chain(head, _json_row_blocks(table.values), ["  ]", "}"]))
+
+
+def _json_row_blocks(values: np.ndarray):
+    """The JSON rows as one text per block, each block but the last ending in a comma."""
+    for start in range(0, values.size, _JSON_BLOCK_ROWS):
+        rows = enumerate(values[start : start + _JSON_BLOCK_ROWS].tolist(), start=start + 1)
+        text = ",\n".join([f"    [\n      {n},\n      {value!r}\n    ]" for n, value in rows])
+        yield text if start + _JSON_BLOCK_ROWS >= values.size else text + ","
 
 
 def _parse_json(text: str, path) -> IntegralTable:

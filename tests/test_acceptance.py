@@ -15,7 +15,6 @@ import numpy as np
 from smoothint import (
     Canonical,
     EncoderConfig,
-    Mode,
     MultiEncoderConfig,
     Sigmoid,
     area_scale,
@@ -35,8 +34,7 @@ from smoothint import (
 from smoothint.cli import main as cli_main
 from smoothint.tableio import load_table, save_table_json
 
-DISCRETE = EncoderConfig(family=Canonical(), delta=0.2)
-FRACTIONAL = EncoderConfig(family=Canonical(), delta=0.2, mode=Mode.FRACTIONAL)
+CONFIG = EncoderConfig(family=Canonical(), delta=0.2)
 
 # reference integral column for delta = 0.2, rounded to four decimals
 REFERENCE_TABLE = [
@@ -53,7 +51,7 @@ def _verdict(index: int, name: str, ok: bool) -> None:
 
 def test_criterion_01_table_reproduction():
     start = time.perf_counter()
-    table = build_table(DISCRETE, 30)
+    table = build_table(CONFIG, 30)
     elapsed = time.perf_counter() - start
     deviation = float(np.max(np.abs(table.values - np.array(REFERENCE_TABLE))))
     ok = deviation < 5e-5 and elapsed < 1.0
@@ -86,8 +84,8 @@ def test_criterion_04_quadrature_cross_check():
     start = time.perf_counter()
     worst = 0.0
     for n in (1, 5, 20):
-        approx = integral_quadrature(DISCRETE, n, 0.0, n + 3.0, 4000)
-        worst = max(worst, abs(approx - integral_closed(DISCRETE, n)))
+        approx = integral_quadrature(CONFIG, n, 0.0, n + 3.0, 4000)
+        worst = max(worst, abs(approx - integral_closed(CONFIG, n)))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6 and elapsed < 1.0
     _verdict(4, "quadrature cross-check", ok)
@@ -100,12 +98,12 @@ def test_criterion_05_fractional_continuity_and_kinks():
     worst_jump_error = 0.0
     worst_continuity = 0.0
     for k in range(1, 26):
-        at_k = integral_closed(FRACTIONAL, float(k))
-        left = integral_closed(FRACTIONAL, k - 0.5) + 0.5 * scale * coefficient(Canonical(), k)
-        right = integral_closed(FRACTIONAL, k + 0.5) - 0.5 * scale * coefficient(Canonical(), k + 1)
+        at_k = integral_closed(CONFIG, float(k))
+        left = integral_closed(CONFIG, k - 0.5) + 0.5 * scale * coefficient(Canonical(), k)
+        right = integral_closed(CONFIG, k + 0.5) - 0.5 * scale * coefficient(Canonical(), k + 1)
         worst_continuity = max(worst_continuity, abs(left - at_k), abs(right - at_k))
-        left_slope = (at_k - integral_closed(FRACTIONAL, k - 0.5)) / 0.5
-        right_slope = (integral_closed(FRACTIONAL, k + 0.5) - at_k) / 0.5
+        left_slope = (at_k - integral_closed(CONFIG, k - 0.5)) / 0.5
+        right_slope = (integral_closed(CONFIG, k + 0.5) - at_k) / 0.5
         expected_jump = scale * (coefficient(Canonical(), k + 1) - coefficient(Canonical(), k))
         worst_jump_error = max(worst_jump_error, abs((right_slope - left_slope) - expected_jump))
     ok = worst_continuity < 1e-12 and worst_jump_error < 1e-10
@@ -119,8 +117,8 @@ def test_criterion_06_analytic_inversion():
     draws = rng.uniform(0.0, 30.0, 1000)
     worst = 0.0
     for true_n in draws:
-        target = integral_closed(FRACTIONAL, float(true_n))
-        result = recover_analytic_fractional(FRACTIONAL, target, math.floor(true_n))
+        target = integral_closed(CONFIG, float(true_n))
+        result = recover_analytic_fractional(CONFIG, target, math.floor(true_n))
         worst = max(worst, abs(result.n - true_n))
     ok = worst < 1e-9
     _verdict(6, "analytic inversion", ok)
@@ -132,9 +130,7 @@ def test_criterion_07_smooth_derivative():
     rng = np.random.default_rng(7)
     worst = 0.0
     for sharpness in (10.0, 100.0):
-        config = EncoderConfig(
-            family=Canonical(), delta=0.2, mode=Mode.SMOOTH, transition=Sigmoid(sharpness)
-        )
+        config = EncoderConfig(family=Canonical(), delta=0.2, transition=Sigmoid(sharpness))
         for n_value in rng.uniform(0.0, 10.0, 50):
             n_value = float(n_value)
             fd = (
@@ -147,7 +143,7 @@ def test_criterion_07_smooth_derivative():
 
 
 def test_criterion_08_binary_search_equivalence():
-    table = build_table(DISCRETE, 1000)
+    table = build_table(CONFIG, 1000)
     assert table.supports_binary
     targets = np.linspace(-0.26, 0.07, 10_000)
     disagreements = 0

@@ -392,7 +392,7 @@ def test_table_refuses_row_counts_over_the_cap(capsys, tmp_path, monkeypatch, fm
     )
     assert code == 2
     assert out == ""
-    assert "exceeds the limit of 10000000 rows" in err
+    assert "error: n_max = 1000000000 exceeds the limit of 10000000\n" == err
     assert not path.exists()
 
 
@@ -408,7 +408,7 @@ def test_plot_data_refuses_point_counts_over_the_cap(capsys, tmp_path, monkeypat
     )
     assert code == 2
     assert out == ""
-    assert "exceeds the limit of 10000000 rows" in err
+    assert "error: points = 1000000000 exceeds the limit of 10000000\n" == err
     assert not path.exists()
 
 
@@ -420,7 +420,7 @@ def test_sweep_refuses_trials_over_the_cap(capsys, tmp_path, table_path):
     )
     assert code == 2
     assert out == ""
-    assert "exceeds the limit of 10000000 rows" in err
+    assert "error: trials = 10000000000000 exceeds the limit of 10000000\n" == err
     assert not path.exists()
 
 

@@ -11,8 +11,8 @@ from smoothint import (
     EncoderConfig,
     ExpPoly,
     Generalized,
-    Mode,
     MultiEncoderConfig,
+    Sigmoid,
     Trig,
     build_table,
     coefficient,
@@ -283,39 +283,43 @@ def _refuse(*args, **kwargs):
 
 
 CANONICAL = EncoderConfig(family=Canonical())
+# (call, the start of its refusal)
 TOO_MANY = [
-    lambda: partial_sums(Canonical(), 10**9),
-    lambda: partial_sum(Generalized(0.3, 2.0, 1.5), 10**9),
-    lambda: build_table(CANONICAL, 10**9),
-    lambda: integral_closed(CANONICAL, 1e9),
-    lambda: integral_closed(EncoderConfig(family=Trig(), mode=Mode.FRACTIONAL), 1e9 + 0.5),
-    lambda: integral_closed(EncoderConfig(family=Canonical(), mode=Mode.SMOOTH), 1e9),
-    lambda: map_derivative_smooth(EncoderConfig(family=Canonical(), mode=Mode.SMOOTH), 1e9),
-    lambda: recover_multi(MultiEncoderConfig.isotropic(Canonical(), 2), 10**9, 1e-3),
-    lambda: coordinatewise_recover(MultiEncoderConfig.isotropic(Canonical(), 2), (0.0, 0.0), 1e-3, 10**9),
-    lambda: counter_grid(CANONICAL, 3, 0.0, 5.0, 10**9),
-    lambda: integral_quadrature(CANONICAL, 3, -1.0, 5.0, 10**9),
+    (lambda: partial_sums(Canonical(), 10**9), "n_max = 1000000000 "),
+    (lambda: partial_sum(Generalized(0.3, 2.0, 1.5), 10**9), "n_max = 1000000000 "),
+    (lambda: build_table(CANONICAL, 10**9), "n_max = 1000000000 "),
+    (lambda: integral_closed(CANONICAL, 1e9), "n_max = 1000000000 "),
+    (lambda: integral_closed(EncoderConfig(family=Trig()), 1e9 + 0.5), "n_max = 1000000000 "),
+    (lambda: integral_closed(EncoderConfig(family=Canonical(), transition=Sigmoid()), 1e9), "N=1000000000.0 "),
+    (lambda: map_derivative_smooth(EncoderConfig(family=Canonical(), transition=Sigmoid()), 1e9), "N=1000000000.0 "),
+    (lambda: recover_multi(MultiEncoderConfig.isotropic(Canonical(), 2), 10**9, 1e-3), "n_max = 1000000000 "),
+    (
+        lambda: coordinatewise_recover(MultiEncoderConfig.isotropic(Canonical(), 2), (0.0, 0.0), 1e-3, 10**9),
+        "n_max = 1000000000 ",
+    ),
+    (lambda: counter_grid(CANONICAL, 3, 0.0, 5.0, 10**9), "points = 1000000000 "),
+    (lambda: integral_quadrature(CANONICAL, 3, -1.0, 5.0, 10**9), "points = 1000000000 "),
 ]
 
 
-@pytest.mark.parametrize("call", TOO_MANY, ids=range(len(TOO_MANY)))
-def test_large_row_counts_are_refused_before_allocating(monkeypatch, call):
+@pytest.mark.parametrize("call, refusal", TOO_MANY, ids=range(len(TOO_MANY)))
+def test_large_row_counts_are_refused_before_allocating(monkeypatch, call, refusal):
     monkeypatch.setattr(np, "arange", _refuse)
     monkeypatch.setattr(np, "ones", _refuse)
     monkeypatch.setattr(np, "linspace", _refuse)
-    with pytest.raises(ValueError, match="exceeds the limit of 10000000 rows"):
+    with pytest.raises(ValueError, match=f"^{refusal}.*exceeds the limit of 10000000"):
         call()
 
 
 def test_row_cap_is_inclusive(monkeypatch):
     monkeypatch.setattr(coefficients, "MAX_ROWS", 12)
     assert partial_sums(Canonical(), 12).size == 12
-    fractional = EncoderConfig(family=Canonical(), mode=Mode.FRACTIONAL)
-    assert term_weights(fractional, 11.5)[0].size == 12
-    with pytest.raises(ValueError, match="13 rows exceeds the limit of 12 rows"):
+    config = EncoderConfig(family=Canonical())
+    assert term_weights(config, 11.5)[0].size == 12
+    with pytest.raises(ValueError, match="^n_max = 13 exceeds the limit of 12$"):
         partial_sums(Canonical(), 13)
-    with pytest.raises(ValueError, match="13 rows exceeds the limit of 12 rows"):
-        term_weights(fractional, 12.5)
-    assert counter_grid(fractional, 1.5, 0.0, 3.0, 12)[0].size == 12
-    with pytest.raises(ValueError, match="13 rows exceeds the limit of 12 rows"):
-        counter_grid(fractional, 1.5, 0.0, 3.0, 13)
+    with pytest.raises(ValueError, match="^rows = 13 exceeds the limit of 12$"):
+        term_weights(config, 12.5)
+    assert counter_grid(config, 1.5, 0.0, 3.0, 12)[0].size == 12
+    with pytest.raises(ValueError, match="^points = 13 exceeds the limit of 12$"):
+        counter_grid(config, 1.5, 0.0, 3.0, 13)

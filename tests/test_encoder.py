@@ -11,15 +11,17 @@ from smoothint import (
     ExpPoly,
     Generalized,
     Heaviside,
-    Mode,
     Sigmoid,
     Smoothstep,
     Trig,
     area_scale,
+    build_table,
+    coefficient,
     counter_eval,
     counter_grid,
     integral_closed,
     integral_quadrature,
+    partial_sum,
     smooth_cutoff,
     term_weights,
 )
@@ -37,26 +39,18 @@ FAMILY_SAMPLES = {
 def test_config_defaults():
     config = EncoderConfig(family=Canonical())
     assert config.delta == 0.2
-    assert config.mode is Mode.DISCRETE
     assert config.transition is None
-
-
-def test_smooth_mode_gets_default_transition():
-    config = EncoderConfig(family=Canonical(), mode=Mode.SMOOTH)
-    assert config.transition == Sigmoid(10.0)
 
 
 def test_config_validation():
     with pytest.raises(ValueError, match="delta"):
         EncoderConfig(family=Canonical(), delta=0.0)
-    with pytest.raises(ValueError, match="transition"):
-        EncoderConfig(family=Canonical(), transition=Sigmoid())
 
 
 @pytest.mark.parametrize("transition", [lambda x: 0.0 * x, "sigmoid", 10.0, Sigmoid])
 def test_transition_must_be_one_of_the_three(transition):
     with pytest.raises(TypeError, match="^transition must be a Sigmoid, Smoothstep or Heaviside"):
-        EncoderConfig(family=Canonical(), mode=Mode.SMOOTH, transition=transition)
+        EncoderConfig(family=Canonical(), transition=transition)
 
 
 def test_term_weights_discrete():
@@ -68,14 +62,8 @@ def test_term_weights_discrete():
     assert ns0.size == 0 and weights0.size == 0
 
 
-def test_term_weights_discrete_rejects_fraction():
-    config = EncoderConfig(family=Canonical())
-    with pytest.raises(ValueError, match="integer"):
-        term_weights(config, 2.5)
-
-
 def test_term_weights_fractional():
-    config = EncoderConfig(family=Canonical(), mode=Mode.FRACTIONAL)
+    config = EncoderConfig(family=Canonical())
     ns, weights = term_weights(config, 2.25)
     assert np.array_equal(ns, [1, 2, 3])
     assert np.array_equal(weights, [1.0, 1.0, 0.25])
@@ -85,8 +73,32 @@ def test_term_weights_fractional():
     assert np.array_equal(weights, np.ones(3))
 
 
+WHOLE_N_MAX = 40
+
+
+@given(
+    st.sampled_from(list(FAMILY_SAMPLES)),
+    st.floats(min_value=1e-3, max_value=10.0),
+    st.one_of(
+        st.integers(min_value=0, max_value=WHOLE_N_MAX),
+        st.integers(min_value=0, max_value=WHOLE_N_MAX).map(float),
+        st.floats(min_value=0.0, max_value=WHOLE_N_MAX),
+    ),
+)
+def test_integral_without_a_transition_is_the_table_row_or_the_segment_line(kind, delta, n_value):
+    family = FAMILY_SAMPLES[kind]
+    config = EncoderConfig(family=family, delta=delta)
+    k = math.floor(n_value)
+    frac = n_value - k
+    if frac == 0.0 and k >= 1:
+        reference = build_table(config, WHOLE_N_MAX).value_at(k)
+    else:
+        reference = area_scale(delta) * (partial_sum(family, k) + frac * coefficient(family, k + 1))
+    assert integral_closed(config, n_value).hex() == reference.hex()
+
+
 def test_term_weights_smooth():
-    config = EncoderConfig(family=Canonical(), mode=Mode.SMOOTH)
+    config = EncoderConfig(family=Canonical(), transition=Sigmoid())
     ns, weights = term_weights(config, 4.2)
     assert ns[-1] == 8  # floor(4.2 + 56 ln 2 / 10)
     expected = Sigmoid(10.0)(ns - 4.2)
@@ -94,17 +106,17 @@ def test_term_weights_smooth():
 
 
 def test_smooth_cutoff_rules():
-    config = EncoderConfig(family=Canonical(), mode=Mode.SMOOTH)
+    config = EncoderConfig(family=Canonical(), transition=Sigmoid())
     assert smooth_cutoff(config, 4.2) == 8  # floor(4.2 + 56 ln 2 / 10)
     assert Sigmoid(10.0).reach == 56 * math.log(2.0) / 10.0
-    stepped = EncoderConfig(family=Canonical(), mode=Mode.SMOOTH, transition=Smoothstep(0.5))
+    stepped = EncoderConfig(family=Canonical(), transition=Smoothstep(0.5))
     assert smooth_cutoff(stepped, 4.2) == 4
     assert smooth_cutoff(stepped, 4.5) == 5  # bump 5 sits on the ramp's end, weight 0
-    hard = EncoderConfig(family=Canonical(), mode=Mode.SMOOTH, transition=Heaviside())
+    hard = EncoderConfig(family=Canonical(), transition=Heaviside())
     assert smooth_cutoff(hard, 4.0) == 4
     assert smooth_cutoff(hard, 4.9) == 4
     assert smooth_cutoff(hard, 0.5) == 0
-    with pytest.raises(ValueError, match="smooth mode"):
+    with pytest.raises(ValueError, match="transition"):
         smooth_cutoff(EncoderConfig(family=Canonical()), 4.0)
     with pytest.raises(ValueError, match="non-negative"):
         smooth_cutoff(config, -1.0)
@@ -120,9 +132,9 @@ def test_counting_parameter_validation():
         term_weights(config, "3")
 
 
-def test_counter_eval_peak_value(fractional_config):
+def test_counter_eval_peak_value(canonical_config):
     # at t = 2 the half-on second bump dominates: 0.5 * a_2 = 0.3125
-    value = counter_eval(fractional_config, 1.5, 2.0)
+    value = counter_eval(canonical_config, 1.5, 2.0)
     assert value == 0.312498136673414
     assert value == pytest.approx(0.5 * 0.625, abs=2e-6)
 
@@ -138,11 +150,11 @@ def test_counter_eval_rejects_bad_t(canonical_config):
 
 
 @pytest.mark.parametrize(
-    "mode,n_value",
-    [(Mode.DISCRETE, 6), (Mode.FRACTIONAL, 6.4), (Mode.SMOOTH, 6.4)],
+    "transition,n_value",
+    [(None, 6), (None, 6.4), (Sigmoid(), 6.4)],
 )
-def test_grid_matches_scalar_bitwise(mode, n_value):
-    config = EncoderConfig(family=Canonical(), mode=mode)
+def test_grid_matches_scalar_bitwise(transition, n_value):
+    config = EncoderConfig(family=Canonical(), transition=transition)
     ts, values = counter_grid(config, n_value, -1.0, 9.0, 257)
     for t, v in zip(ts, values):
         assert counter_eval(config, n_value, float(t)) == v
@@ -160,7 +172,7 @@ def test_heaviside_smooth_equals_discrete(kind):
     # weight 1 through the N-th center, 0 beyond: the discrete train exactly
     family = FAMILY_SAMPLES[kind]
     discrete = EncoderConfig(family=family)
-    smooth = EncoderConfig(family=family, mode=Mode.SMOOTH, transition=Heaviside())
+    smooth = EncoderConfig(family=family, transition=Heaviside())
     for n in range(41):
         _, discrete_values = counter_grid(discrete, n, 0.0, n + 4.0, 101)
         _, smooth_values = counter_grid(smooth, float(n), 0.0, n + 4.0, 101)
@@ -169,9 +181,7 @@ def test_heaviside_smooth_equals_discrete(kind):
 
 
 def test_smoothstep_transition_accepted():
-    config = EncoderConfig(
-        family=Canonical(), mode=Mode.SMOOTH, transition=Smoothstep(halfwidth=0.5)
-    )
+    config = EncoderConfig(family=Canonical(), transition=Smoothstep(halfwidth=0.5))
     ns, weights = term_weights(config, 2.0)
     # ramp is local: centers below N - 0.5 fully on, above N + 0.5 fully off,
     # so the series ends at floor(N + 0.5)
@@ -211,7 +221,7 @@ def test_family_samples_cover_the_registry():
 def test_smooth_series_ends_where_the_transition_reaches(kind, transition, n_value):
     # a thousand more terms past the cutoff add nothing visible
     family = FAMILY_SAMPLES[kind]
-    config = EncoderConfig(family=family, mode=Mode.SMOOTH, transition=transition)
+    config = EncoderConfig(family=family, transition=transition)
     longer = _weighted_sum(family, transition, n_value, smooth_cutoff(config, n_value) + 1000)
     assert abs(integral_closed(config, n_value) - longer) <= 1e-15
 
@@ -219,7 +229,7 @@ def test_smooth_series_ends_where_the_transition_reaches(kind, transition, n_val
 @pytest.mark.parametrize("transition", [Sigmoid(0.2), Smoothstep(30.0)], ids=repr)
 def test_slow_transitions_keep_their_whole_series(transition):
     # the weights at N = 5.3 stay visible far past ceil(N) + 10
-    config = EncoderConfig(family=Canonical(), mode=Mode.SMOOTH, transition=transition)
+    config = EncoderConfig(family=Canonical(), transition=transition)
     full = _weighted_sum(Canonical(), transition, 5.3, 20_000)
     assert abs(integral_closed(config, 5.3) - full) <= 1e-15
     with pytest.raises(ValueError, match="truncates"):
@@ -227,7 +237,7 @@ def test_slow_transitions_keep_their_whole_series(transition):
 
 
 def test_a_reach_past_the_row_limit_is_refused():
-    config = EncoderConfig(family=Canonical(), mode=Mode.SMOOTH, transition=Sigmoid(5e-324))
+    config = EncoderConfig(family=Canonical(), transition=Sigmoid(5e-324))
     assert config.transition.reach == math.inf
     with pytest.raises(ValueError, match="exceeds the limit"):
         integral_closed(config, 5.3)

@@ -12,7 +12,6 @@ from smoothint import (
     ExpPoly,
     Generalized,
     IntegralTable,
-    Mode,
     Sigmoid,
     Smoothstep,
     Trig,
@@ -60,36 +59,24 @@ def test_integral_closed_discrete_zero(canonical_config):
     assert integral_closed(canonical_config, 0) == 0.0
 
 
-def test_integral_closed_rejects_fraction_in_discrete_mode(canonical_config):
-    with pytest.raises(ValueError, match="integer"):
-        integral_closed(canonical_config, 2.5)
-
-
-def test_integral_closed_fractional(fractional_config):
-    assert integral_closed(fractional_config, 1.5) == -0.09399856029866252
+def test_integral_closed_fractional(canonical_config):
+    assert integral_closed(canonical_config, 1.5) == -0.09399856029866252
     # matches the two-term formula
     scale = area_scale(0.2)
     expected = scale * (-0.5 + 0.5 * 0.625)
-    assert integral_closed(fractional_config, 1.5) == expected
+    assert integral_closed(canonical_config, 1.5) == expected
 
 
-def test_fractional_equals_discrete_at_integers(canonical_config, fractional_config):
-    for k in range(0, 25):
-        assert integral_closed(fractional_config, float(k)) == integral_closed(
-            canonical_config, k
-        )
-
-
-def test_fractional_is_linear_within_segment(fractional_config):
+def test_fractional_is_linear_within_segment(canonical_config):
     # three collinear samples inside [3, 4]
-    i0 = integral_closed(fractional_config, 3.25)
-    i1 = integral_closed(fractional_config, 3.5)
-    i2 = integral_closed(fractional_config, 3.75)
+    i0 = integral_closed(canonical_config, 3.25)
+    i1 = integral_closed(canonical_config, 3.5)
+    i2 = integral_closed(canonical_config, 3.75)
     assert i1 - i0 == pytest.approx(i2 - i1, abs=1e-15)
 
 
 def test_smooth_integral_weighted_sum():
-    config = EncoderConfig(family=Canonical(), mode=Mode.SMOOTH)
+    config = EncoderConfig(family=Canonical(), transition=Sigmoid())
     n_value = 3.7
     ns = np.arange(1, math.ceil(n_value) + 11)
     weights = Sigmoid(10.0)(ns - n_value)
@@ -104,9 +91,10 @@ def test_build_table_matches_closed_form(canonical_config, table30):
         assert table30.value_at(n) == integral_closed(canonical_config, n)
 
 
-def test_build_table_requires_discrete_mode(fractional_config):
-    with pytest.raises(ValueError, match="discrete"):
-        build_table(fractional_config, 10)
+def test_build_table_refuses_a_transition():
+    config = EncoderConfig(family=Canonical(), transition=Sigmoid())
+    with pytest.raises(ValueError, match="without a transition"):
+        build_table(config, 10)
 
 
 def test_build_table_validates_n_max(canonical_config):
@@ -210,10 +198,10 @@ def test_quadrature_agrees_with_closed_form(canonical_config):
         assert approx == pytest.approx(integral_closed(canonical_config, n), abs=1e-6)
 
 
-def test_quadrature_fractional_and_smooth(fractional_config):
-    approx = integral_quadrature(fractional_config, 2.5, 0.0, 6.0, 3000)
-    assert approx == pytest.approx(integral_closed(fractional_config, 2.5), abs=1e-6)
-    smooth = EncoderConfig(family=Canonical(), mode=Mode.SMOOTH)
+def test_quadrature_fractional_and_smooth(canonical_config):
+    approx = integral_quadrature(canonical_config, 2.5, 0.0, 6.0, 3000)
+    assert approx == pytest.approx(integral_closed(canonical_config, 2.5), abs=1e-6)
+    smooth = EncoderConfig(family=Canonical(), transition=Sigmoid())
     approx = integral_quadrature(smooth, 2.3, 0.0, 7.0, 3500)
     assert approx == pytest.approx(integral_closed(smooth, 2.3), abs=1e-6)
 
@@ -236,7 +224,7 @@ def test_quadrature_rejects_bad_limits(canonical_config):
 
 
 def test_map_derivative_matches_finite_difference():
-    config = EncoderConfig(family=Canonical(), mode=Mode.SMOOTH)
+    config = EncoderConfig(family=Canonical(), transition=Sigmoid())
     h = 1e-5
     for n_value in (0.4, 1.9, 4.3, 7.5):
         fd = (integral_closed(config, n_value + h) - integral_closed(config, n_value - h)) / (
@@ -248,8 +236,6 @@ def test_map_derivative_matches_finite_difference():
 def test_map_derivative_requires_smooth_sigmoid(canonical_config):
     with pytest.raises(ValueError, match="Sigmoid"):
         map_derivative_smooth(canonical_config, 2.0)
-    stepped = EncoderConfig(
-        family=Canonical(), mode=Mode.SMOOTH, transition=Smoothstep()
-    )
+    stepped = EncoderConfig(family=Canonical(), transition=Smoothstep())
     with pytest.raises(ValueError, match="Sigmoid"):
         map_derivative_smooth(stepped, 2.0)

@@ -13,7 +13,6 @@ from smoothint import (
     ExpPoly,
     Generalized,
     IntegralTable,
-    Mode,
     RecoveryMethod,
     Trig,
     area_scale,
@@ -27,8 +26,9 @@ from smoothint import (
     recover_threshold,
     tail_bound,
 )
+from smoothint import recovery
 
-FRACTIONAL = EncoderConfig(family=Canonical(), delta=0.2, mode=Mode.FRACTIONAL)
+CONFIG = EncoderConfig(family=Canonical(), delta=0.2)
 
 
 def scan(values, target, epsilon):
@@ -419,8 +419,8 @@ def test_spline_tol_validation(table30):
 
 def test_analytic_round_trip():
     for true_n in (0.4, 1.5, 7.25, 19.999):
-        target = integral_closed(FRACTIONAL, true_n)
-        result = recover_analytic_fractional(FRACTIONAL, target, math.floor(true_n))
+        target = integral_closed(CONFIG, true_n)
+        result = recover_analytic_fractional(CONFIG, target, math.floor(true_n))
         assert result.n == pytest.approx(true_n, abs=1e-12)
         assert result.method is RecoveryMethod.ANALYTIC_LOCAL
         assert result.residual < 1e-15
@@ -429,14 +429,14 @@ def test_analytic_round_trip():
 
 def test_analytic_rejects_target_outside_segment():
     with pytest.raises(ValueError, match="outside"):
-        recover_analytic_fractional(FRACTIONAL, 0.5, 3)
+        recover_analytic_fractional(CONFIG, 0.5, 3)
 
 
 def test_analytic_rejects_bad_segment():
     with pytest.raises(ValueError):
-        recover_analytic_fractional(FRACTIONAL, 0.0, -1)
+        recover_analytic_fractional(CONFIG, 0.0, -1)
     with pytest.raises(TypeError):
-        recover_analytic_fractional(FRACTIONAL, 0.0, 1.5)
+        recover_analytic_fractional(CONFIG, 0.0, 1.5)
 
 
 def test_analytic_zero_slope_is_singular():
@@ -448,7 +448,7 @@ def test_analytic_zero_slope_is_singular():
 def test_analytic_stability_flag():
     # |dI/dN| = area_scale(0.2) * |a_21| of Trig is about 1.8e-11, below
     # DEFAULT_STABILITY_EPSILON
-    trig = EncoderConfig(family=Trig(), delta=0.2, mode=Mode.FRACTIONAL)
+    trig = EncoderConfig(family=Trig(), delta=0.2)
     result = recover_analytic_fractional(trig, integral_closed(trig, 20.5), 20)
     assert not result.stable
 
@@ -458,11 +458,11 @@ def test_both_inversions_flag_stability_on_the_slope_dI_dN(delta, stable):
     # at N = 20 on Canonical, dI/dN = area_scale(delta) * |a_21| is 1.2e-7 at
     # delta = 1e-6 and 0.024 at delta = 0.2, on either side of
     # DEFAULT_STABILITY_EPSILON, so both inversions must agree
-    fractional = EncoderConfig(family=Canonical(), delta=delta, mode=Mode.FRACTIONAL)
-    target = integral_closed(fractional, 20.0)
-    table = build_table(EncoderConfig(family=Canonical(), delta=delta), 30)
+    config = EncoderConfig(family=Canonical(), delta=delta)
+    target = integral_closed(config, 20.0)
+    table = build_table(config, 30)
     assert table.value_at(20) == target
-    assert recover_analytic_fractional(fractional, target, 20).stable is stable
+    assert recover_analytic_fractional(config, target, 20).stable is stable
     assert recover_spline(table, target).stable is stable
 
 
@@ -491,12 +491,21 @@ def test_noise_sweep_is_reproducible(table30):
     assert a == b
 
 
+@pytest.mark.parametrize("trials", [7, 8, 100])
+def test_noise_sweep_in_blocks_equals_one_block(table30, monkeypatch, trials):
+    # one block of 2**16 draws holds every trial count here; blocks of 7 split them
+    amplitudes = [0.0, 0.01, 0.05]
+    whole = noise_sweep(table30, 8, 0.005, amplitudes, trials=trials, seed=3)
+    monkeypatch.setattr(recovery, "_SWEEP_BLOCK_DRAWS", 7)
+    assert noise_sweep(table30, 8, 0.005, amplitudes, trials=trials, seed=3) == whole
+
+
 def test_noise_sweep_refuses_trials_over_the_cap_before_drawing(table30, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the generator was called")
 
     monkeypatch.setattr(np.random, "default_rng", fail)
-    with pytest.raises(ValueError, match="exceeds the limit of 10000000 rows"):
+    with pytest.raises(ValueError, match="^trials = 10000000000000 exceeds the limit of 10000000$"):
         noise_sweep(table30, 8, 0.005, [0.001], trials=10**13)
 
 

@@ -383,7 +383,18 @@ def test_json_writer_lays_out_files_as_the_json_module_does(family, delta, n_max
 
 
 def test_json_writer_lays_out_a_large_file_as_the_json_module_does(tmp_path):
+    # 10**5 rows are seven of the writer's blocks, the last one partial
     table = build_table(EncoderConfig(family=Generalized(0.3, 2.0, 1.5), delta=0.2), 10**5)
+    path = tmp_path / "t.json"
+    save_table_json(table, path)
+    assert path.read_bytes() == json_module_bytes(table)
+
+
+@pytest.mark.parametrize("n_max", [1, 3, 4, 5, 8, 13])
+def test_json_writer_joins_blocks_as_the_json_module_does(tmp_path, monkeypatch, n_max):
+    # blocks of four rows: one partial block, one whole, and whole or partial after more
+    monkeypatch.setattr(tableio, "_JSON_BLOCK_ROWS", 4)
+    table = build_table(EncoderConfig(family=Trig(), delta=0.2), n_max)
     path = tmp_path / "t.json"
     save_table_json(table, path)
     assert path.read_bytes() == json_module_bytes(table)

@@ -20,7 +20,6 @@ from smoothint import (
     EncoderConfig,
     ExpPoly,
     Generalized,
-    Mode,
     MultiEncoderConfig,
     Sigmoid,
     Smoothstep,
@@ -53,13 +52,12 @@ from smoothint import (
     term_weights,
 )
 
-DISCRETE = EncoderConfig(family=Canonical(), delta=0.2)
-FRACTIONAL = EncoderConfig(family=Canonical(), delta=0.2, mode=Mode.FRACTIONAL)
-SMOOTH = EncoderConfig(family=Canonical(), delta=0.2, mode=Mode.SMOOTH)
-TABLE = build_table(DISCRETE, 30)
+CONFIG = EncoderConfig(family=Canonical(), delta=0.2)
+SMOOTH = EncoderConfig(family=Canonical(), delta=0.2, transition=Sigmoid())
+TABLE = build_table(CONFIG, 30)
 SPLINE = spline_fit(TABLE.values)
 MULTI = MultiEncoderConfig.isotropic(Canonical(), 2)
-SEGMENT_3_TARGET = integral_closed(FRACTIONAL, 3.5)
+SEGMENT_3_TARGET = integral_closed(CONFIG, 3.5)
 
 # id: (call, valid value, name in the message, out-of-range values)
 INTEGERS = {
@@ -68,15 +66,15 @@ INTEGERS = {
     "partial_sum-n": (lambda v: partial_sum(Canonical(), v), 3, "n", [-1]),
     "tail_bound-n": (lambda v: tail_bound(Canonical(), v), 3, "n", [0]),
     "value_at-n": (lambda v: TABLE.value_at(v), 3, "row", [0, 31]),
-    "build_table-n_max": (lambda v: build_table(DISCRETE, v), 3, "n_max", [0]),
+    "build_table-n_max": (lambda v: build_table(CONFIG, v), 3, "n_max", [0]),
     "counter_grid-points": (
-        lambda v: counter_grid(FRACTIONAL, 1.5, 0.0, 3.0, v), 3, "points", [1, 0]
+        lambda v: counter_grid(CONFIG, 1.5, 0.0, 3.0, v), 3, "points", [1, 0]
     ),
     "integral_quadrature-points": (
-        lambda v: integral_quadrature(DISCRETE, 1, -1.0, 3.0, v), 500, "points", [1, 399]
+        lambda v: integral_quadrature(CONFIG, 1, -1.0, 3.0, v), 500, "points", [1, 399]
     ),
     "recover_analytic_fractional-segment": (
-        lambda v: recover_analytic_fractional(FRACTIONAL, SEGMENT_3_TARGET, v), 3, "segment", [-1]
+        lambda v: recover_analytic_fractional(CONFIG, SEGMENT_3_TARGET, v), 3, "segment", [-1]
     ),
     "noise_sweep-true_n": (
         lambda v: noise_sweep(TABLE, v, 0.005, [0.0], trials=5), 8, "row", [0, 31]
@@ -130,54 +128,54 @@ REALS = {
         lambda v: MultiEncoderConfig.isotropic(Canonical(), 2, delta=v), 0.2, "delta", [-0.2]
     ),
     "area_scale-delta": (lambda v: area_scale(v), 0.2, "delta", [0.0, -1.0]),
-    "term_weights-n_value": (lambda v: term_weights(FRACTIONAL, v), 2.5, "n_value", [-1.0]),
-    "term_weights-discrete-n_value": (
-        lambda v: term_weights(DISCRETE, v), 3.0, "n_value", [-1.0, 2.5]
+    "term_weights-n_value": (lambda v: term_weights(CONFIG, v), 2.5, "n_value", [-1.0]),
+    "term_weights-whole-n_value": (
+        lambda v: term_weights(CONFIG, v), 3.0, "n_value", [-1.0]
     ),
     "term_weights-smooth-n_value": (lambda v: term_weights(SMOOTH, v), 2.5, "n_value", [-1.0]),
     "smooth_cutoff-n_value": (lambda v: smooth_cutoff(SMOOTH, v), 2.5, "n_value", [-1.0]),
-    "counter_eval-n_value": (lambda v: counter_eval(FRACTIONAL, v, 1.0), 2.5, "n_value", [-1.0]),
-    "counter_eval-t": (lambda v: counter_eval(FRACTIONAL, 2.5, v), 1.0, "t", []),
-    "counter_eval-discrete-n_value": (
-        lambda v: counter_eval(DISCRETE, v, 1.0), 3.0, "n_value", [-1.0, 2.5]
+    "counter_eval-n_value": (lambda v: counter_eval(CONFIG, v, 1.0), 2.5, "n_value", [-1.0]),
+    "counter_eval-t": (lambda v: counter_eval(CONFIG, 2.5, v), 1.0, "t", []),
+    "counter_eval-whole-n_value": (
+        lambda v: counter_eval(CONFIG, v, 1.0), 3.0, "n_value", [-1.0]
     ),
     "counter_eval-smooth-n_value": (lambda v: counter_eval(SMOOTH, v, 1.0), 2.5, "n_value", [-1.0]),
     "counter_eval-smooth-t": (lambda v: counter_eval(SMOOTH, 2.5, v), 1.0, "t", []),
     "counter_grid-n_value": (
-        lambda v: counter_grid(FRACTIONAL, v, 0.0, 3.0, 5), 1.5, "n_value", [-0.5]
+        lambda v: counter_grid(CONFIG, v, 0.0, 3.0, 5), 1.5, "n_value", [-0.5]
     ),
-    "counter_grid-discrete-n_value": (
-        lambda v: counter_grid(DISCRETE, v, 0.0, 3.0, 5), 3.0, "n_value", [-0.5, 2.5]
+    "counter_grid-whole-n_value": (
+        lambda v: counter_grid(CONFIG, v, 0.0, 3.0, 5), 3.0, "n_value", [-0.5]
     ),
     "counter_grid-smooth-n_value": (
         lambda v: counter_grid(SMOOTH, v, 0.0, 3.0, 5), 1.5, "n_value", [-0.5]
     ),
     "counter_grid-t_min": (
-        lambda v: counter_grid(FRACTIONAL, 1.5, v, 3.0, 5), 0.0, "t_min", [3.0, 4.0]
+        lambda v: counter_grid(CONFIG, 1.5, v, 3.0, 5), 0.0, "t_min", [3.0, 4.0]
     ),
     "counter_grid-t_max": (
-        lambda v: counter_grid(FRACTIONAL, 1.5, 0.0, v, 5), 3.0, "t_max", [0.0, -1.0]
+        lambda v: counter_grid(CONFIG, 1.5, 0.0, v, 5), 3.0, "t_max", [0.0, -1.0]
     ),
     "integral_closed-n_value": (
-        lambda v: integral_closed(FRACTIONAL, v), 2.5, "n_value", [-1.0]
+        lambda v: integral_closed(CONFIG, v), 2.5, "n_value", [-1.0]
     ),
-    "integral_closed-discrete-n_value": (
-        lambda v: integral_closed(DISCRETE, v), 3.0, "n_value", [-1.0, 2.5]
+    "integral_closed-whole-n_value": (
+        lambda v: integral_closed(CONFIG, v), 3.0, "n_value", [-1.0]
     ),
     "integral_closed-smooth-n_value": (
         lambda v: integral_closed(SMOOTH, v), 2.5, "n_value", [-1.0]
     ),
     "integral_quadrature-n_value": (
-        lambda v: integral_quadrature(FRACTIONAL, v, -1.0, 3.0, 500), 1.5, "n_value", [-1.0]
+        lambda v: integral_quadrature(CONFIG, v, -1.0, 3.0, 500), 1.5, "n_value", [-1.0]
     ),
     "integral_quadrature-smooth-n_value": (
         lambda v: integral_quadrature(SMOOTH, v, -5.0, 30.0, 4000), 2.5, "n_value", [-1.0]
     ),
     "integral_quadrature-t_min": (
-        lambda v: integral_quadrature(DISCRETE, 1, v, 3.0, 500), -1.0, "t_min", [3.0, 0.5]
+        lambda v: integral_quadrature(CONFIG, 1, v, 3.0, 500), -1.0, "t_min", [3.0, 0.5]
     ),
     "integral_quadrature-t_max": (
-        lambda v: integral_quadrature(DISCRETE, 1, -1.0, v, 500), 3.0, "t_max", [-1.0, 1.5]
+        lambda v: integral_quadrature(CONFIG, 1, -1.0, v, 500), 3.0, "t_max", [-1.0, 1.5]
     ),
     "map_derivative_smooth-n_value": (
         lambda v: map_derivative_smooth(SMOOTH, v), 2.5, "n_value", [-1.0]
@@ -209,7 +207,7 @@ REALS = {
         lambda v: recover_spline(TABLE, 0.028, tol=v), 1e-9, "tol", [0.0, -1e-9]
     ),
     "recover_analytic_fractional-target": (
-        lambda v: recover_analytic_fractional(FRACTIONAL, v, 3), SEGMENT_3_TARGET, "target", [0.5]
+        lambda v: recover_analytic_fractional(CONFIG, v, 3), SEGMENT_3_TARGET, "target", [0.5]
     ),
     "noise_sweep-epsilon": (
         lambda v: noise_sweep(TABLE, 8, v, [0.0], trials=5), 0.005, "epsilon", [0.0, -0.005]
