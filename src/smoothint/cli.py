@@ -28,7 +28,7 @@ import numpy as np
 from .bumps import Sigmoid
 from .coefficients import FAMILIES, _check_row_count, partial_sums
 from .encoder import EncoderConfig, counter_grid
-from .integral_map import area_scale, build_table, integral_closed
+from .integral_map import _smooth_integrals, area_scale, build_table
 from .multidim import MultiEncoderConfig, integral_multi
 from .recovery import (
     RecoveryMethod,
@@ -38,7 +38,14 @@ from .recovery import (
     recover_spline,
     recover_threshold,
 )
-from .tableio import family_from_descriptor, load_table, save_table_csv, save_table_json, write_lines
+from .tableio import (
+    _items_in_blocks,
+    _write_lines,
+    family_from_descriptor,
+    load_table,
+    save_table_csv,
+    save_table_json,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -183,7 +190,7 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
         t_lo, t_hi = args.range if args.range else (0.0, args.n + 3.0)
         ts, values = counter_grid(config, args.n, t_lo, t_hi, args.points)
         count = ts.size
-        rows = (f"{t:.17g},{v:.17g}" for t, v in zip(ts.tolist(), values.tolist()))
+        rows = (f"{t:.17g},{v:.17g}" for t, v in zip(_items_in_blocks(ts), _items_in_blocks(values)))
     elif args.what in ("imap", "partials"):
         if args.n is None:
             print(f"error: --n is required for --what {args.what}", file=sys.stderr)
@@ -195,16 +202,16 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
         sums = partial_sums(family, count)
         if args.what == "imap":
             sums = area_scale(args.delta) * sums
-        rows = (f"{n},{v:.17g}" for n, v in enumerate(sums.tolist(), start=1))
+        rows = (f"{n},{v:.17g}" for n, v in enumerate(_items_in_blocks(sums), start=1))
     else:  # smooth
         t_lo, t_hi = args.range if args.range else (0.0, 10.0)
         config = EncoderConfig(family, args.delta, transition=Sigmoid(args.sharpness))
         xs = np.linspace(t_lo, t_hi, _check_row_count("points", args.points)).tolist()
         # computed before the file opens, so a refused N leaves no file behind
-        ys = [integral_closed(config, x) for x in xs]
+        ys = _smooth_integrals(config, xs)
         count = len(xs)
         rows = (f"{x:.17g},{y:.17g}" for x, y in zip(xs, ys))
-    write_lines(args.out, itertools.chain(["x,y"], rows))
+    _write_lines(args.out, itertools.chain(["x,y"], rows))
     print(f"wrote {count} rows to {args.out}")
     return EXIT_OK
 
@@ -221,7 +228,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     lines = ["amplitude,accuracy"]
     lines += [f"{amplitude:.17g},{accuracy:.17g}" for amplitude, accuracy in results]
-    write_lines(args.out, lines)
+    _write_lines(args.out, lines)
     print(f"wrote {len(results)} rows to {args.out}")
     return EXIT_OK
 
@@ -266,7 +273,7 @@ def _cmd_multidim(args: argparse.Namespace) -> int:
     config = MultiEncoderConfig.isotropic(family, len(args.n_max), delta=args.delta)
     grid = integral_multi(config, [np.arange(1, limit + 1) for limit in args.n_max])
     header = ",".join(f"N{i}" for i in range(1, config.dimension + 1)) + ",I"
-    write_lines(args.out, itertools.chain([header], _grid_lines(grid)))
+    _write_lines(args.out, itertools.chain([header], _grid_lines(grid)))
     print(f"wrote {grid.size} rows to {args.out}")
     return EXIT_OK
 

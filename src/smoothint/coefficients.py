@@ -225,7 +225,7 @@ def partial_sum(family: CoefficientFamily, n: int) -> float:
         ValueError: if ``n`` is negative, or more than ``MAX_ROWS``.
         TypeError: if ``n`` is not an integer.
     """
-    n = check_int("n", n, 0)
+    n = _check_row_count("n", check_int("n", n, 0))
     if n == 0:
         return 0.0
     return float(partial_sums(family, n)[-1])

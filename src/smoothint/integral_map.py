@@ -22,7 +22,7 @@ import numpy as np
 from ._validate import check_int, check_nonnegative, check_positive, check_real
 from .bumps import Sigmoid
 from .coefficients import CoefficientFamily, _check_row_count, coefficient, partial_sum, partial_sums
-from .encoder import EncoderConfig, _accumulate, smooth_cutoff, term_weights
+from .encoder import EncoderConfig, _accumulate, smooth_cutoff
 
 __all__ = [
     "IntegralTable",
@@ -65,20 +65,25 @@ class IntegralTable:
     one comparison pass over each parity class ``values[0::2]`` and
     ``values[1::2]``.  Each class takes its direction from its end values
     (rising when ``c[0] <= c[-1]``) and must be monotone, not necessarily
-    strictly, in that direction.  ``class_rising`` holds one direction per
-    non-empty class when every class is monotone, and is ``None`` when a
-    class turns.  Recovery bisects the classes of a table with directions,
-    O(log n), and scans any other table, O(n).
+    strictly, in that direction.  When every class is, the table keeps, per
+    non-empty class, its first row index, a memoryview of its strided view
+    (no copy) and its direction; recovery bisects those views, O(log n),
+    with nothing sliced or wrapped per call.  When a class turns, it keeps
+    ``None`` and recovery scans, O(n).  ``class_rising`` reads the
+    directions off that structure, or is ``None`` with it.
 
     ``supports_binary`` narrows this to the tables the binary method is
     named for: the signs strictly alternate and each class shrinks in
     magnitude.  It follows from the directions and each class's end values.
+
+    A pickled or copied table holds only its three init fields; the copy
+    derives its own search structure when it is rebuilt.
     """
 
     delta: float | None
     family: CoefficientFamily | None
     values: np.ndarray
-    class_rising: tuple[bool, ...] | None = field(init=False, repr=False)
+    _classes: tuple[tuple[int, memoryview, bool], ...] | None = field(init=False, repr=False)
     supports_binary: bool = field(init=False)
 
     def __post_init__(self) -> None:
@@ -101,8 +106,19 @@ class IntegralTable:
             1 if c[0] >= c[-1] > 0.0 else -1 if c[0] <= c[-1] < 0.0 else 0 for c in classes
         ]
         alternating = signs in ([1], [-1], [1, -1], [-1, 1])
-        object.__setattr__(self, "class_rising", rising if monotone else None)
+        search = tuple(zip(range(len(classes)), map(memoryview, classes), rising))
+        object.__setattr__(self, "_classes", search if monotone else None)
         object.__setattr__(self, "supports_binary", monotone and alternating)
+
+    def __reduce__(self):
+        return (IntegralTable, (self.delta, self.family, self.values))
+
+    @property
+    def class_rising(self) -> tuple[bool, ...] | None:
+        """The direction of each non-empty parity class, ``None`` when a class turns."""
+        if self._classes is None:
+            return None
+        return tuple(rising for _, _, rising in self._classes)
 
     @property
     def n_max(self) -> int:
@@ -123,16 +139,37 @@ def integral_closed(config: EncoderConfig, n_value: float) -> float:
     transition-weighted coefficient sum through
     :func:`~smoothint.encoder.smooth_cutoff`.
     """
-    scale = area_scale(config.delta)
     if config.transition is not None:
-        ns, weights = term_weights(config, n_value)
-        return scale * float(np.dot(weights, config.family.coefficients(ns)))
-    n_value = check_nonnegative("n_value", n_value)
+        return _smooth_integrals(config, [check_nonnegative("n_value", n_value)])[0]
+    scale = area_scale(config.delta)
+    # N > MAX_ROWS is where term_weights refuses its floor(N) rows, or
+    # floor(N) + 1 at a fractional N
+    n_value = _check_row_count("n_value", check_nonnegative("n_value", n_value))
     k = math.floor(n_value)
     frac = n_value - k
     if frac == 0.0:
         return scale * partial_sum(config.family, k)
     return scale * (partial_sum(config.family, k) + frac * coefficient(config.family, k + 1))
+
+
+def _smooth_integrals(config: EncoderConfig, xs: list[float]) -> list[float]:
+    """The smooth map at each float of ``xs``, under the transition of ``config``.
+
+    The coefficients are evaluated once, through the largest
+    :func:`~smoothint.encoder.smooth_cutoff`; each point dots the weights of
+    its own terms 1..cutoff with their prefix.  Every point's cutoff is
+    checked, in order, before any is summed.  A point's value has the bits
+    of a call on that point alone, which is how :func:`integral_closed`
+    evaluates it.
+    """
+    cutoffs = [smooth_cutoff(config, x) for x in xs]
+    ns = np.arange(1, max(cutoffs, default=0) + 1)
+    coeffs = config.family.coefficients(ns)
+    scale = area_scale(config.delta)
+    return [
+        scale * float(np.dot(np.asarray(config.transition(ns[:cutoff] - x), dtype=float), coeffs[:cutoff]))
+        for x, cutoff in zip(xs, cutoffs)
+    ]
 
 
 def build_table(config: EncoderConfig, n_max: int) -> IntegralTable:

@@ -15,11 +15,12 @@ when several rows fit:
 When each parity class of a table's rows is monotone, not necessarily
 strictly, the threshold and table searches all bisect the two classes,
 O(log n); a table with a class that turns is scanned, O(n).  The bisection
-runs in C, as ``bisect`` over a memoryview of each strided class for the
-level target -/+ epsilon.  Rounding of that level can move the result by a
-row, so the scan's own gap test is then applied at the boundary it found,
-and a bisection keyed on that test finishes the search when the boundary
-fails it.  Every path answers exactly as the scan would.
+runs in C, as ``bisect`` for the level target -/+ epsilon over the
+memoryview of each strided class that the table wrapped once, when it was
+built.  Rounding of that level can move the result by a row, so the scan's
+own gap test is then applied at the boundary it found, and a bisection
+keyed on that test finishes the search when the boundary fails it.  Every
+path answers exactly as the scan would.
 
 A failed search returns ``None``; it is an expected outcome, not an error.
 """
@@ -28,8 +29,8 @@ from __future__ import annotations
 
 import bisect
 import operator
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,9 +69,8 @@ class RecoveryMethod(str, Enum):
     ANALYTIC_LOCAL = "analytic-local"
 
 
-@dataclass(frozen=True)
-class RecoveryResult:
-    """Outcome of a successful recovery.
+class RecoveryResult(NamedTuple):
+    """Outcome of a successful recovery, an immutable named tuple.
 
     ``n`` is an exact integer for the table-driven methods and a real number
     for the spline and analytic ones.  ``residual`` is the distance left
@@ -102,25 +102,26 @@ def _first_within(table: IntegralTable, target: float, epsilon: float) -> int | 
     qualifying rows therefore form one run, flat stretches included, whose
     start is the first row with gap > -epsilon.
 
-    Each class is searched in C: ``bisect`` over a memoryview of the
-    strided view ``values[start::2]`` (no copy; its items are Python floats
-    with the array's bits) for the rounded level target - epsilon, or
-    target + epsilon on a falling class.  That hint j can sit a row off the
-    scan's boundary, because fl(target -/+ epsilon) rounds, so the scan's
-    own gap test proves it: gap(row j) > -epsilon and not gap(row j - 1) >
-    -epsilon, with the gap monotone, make j the first such row.  When a
-    test fails, a bisection keyed on the gap finishes the search on the
-    side that test names.  The final test is the scan's ``gap < epsilon``,
-    so the answer is the scan's bit for bit, in O(log n).  Other tables are
+    Each class is searched in C: ``bisect`` over the memoryview of the
+    strided view ``values[start::2]`` that the table keeps from its
+    construction (no copy; its items are Python floats with the array's
+    bits) for the rounded level target - epsilon, or target + epsilon on a
+    falling class.  That hint j can sit a row off the scan's boundary,
+    because fl(target -/+ epsilon) rounds, so the scan's own gap test
+    proves it: gap(row j) > -epsilon and not gap(row j - 1) > -epsilon, with
+    the gap monotone, make j the first such row.  When a test fails, a
+    bisection keyed on the gap finishes the search on the side that test
+    names.  The final test is the scan's ``gap < epsilon``,
+    so the answer is the scan's bit for bit, in O(log n); the smaller index
+    of the two classes is kept as they are searched.  Other tables are
     scanned, O(n).
     """
-    values = table.values
-    if table.class_rising is None:
-        hits = np.flatnonzero(np.abs(values - target) < epsilon)
+    classes = table._classes
+    if classes is None:
+        hits = np.flatnonzero(np.abs(table.values - target) < epsilon)
         return int(hits[0]) if hits.size else None
-    firsts = []
-    for start, rising in enumerate(table.class_rising):
-        rows = memoryview(values[start::2])
+    first = None
+    for start, rows, rising in classes:
         if rising:
             gap = target.__rsub__  # v - target
             j = bisect.bisect_right(rows, target - epsilon)
@@ -132,8 +133,10 @@ def _first_within(table: IntegralTable, target: float, epsilon: float) -> int | 
         elif j > 0 and gap(rows[j - 1]) > -epsilon:
             j = bisect.bisect_right(rows, -epsilon, hi=j - 1, key=gap)
         if j < len(rows) and gap(rows[j]) < epsilon:
-            firsts.append(start + 2 * j)
-    return min(firsts, default=None)
+            i = start + 2 * j
+            if first is None or i < first:
+                first = i
+    return first
 
 
 def _recover_row(
@@ -146,7 +149,7 @@ def _recover_row(
     if i is None:
         return None
     residual = abs(table.values.item(i) - target)
-    return RecoveryResult(n=i + 1, residual=residual, method=method, stable=residual < epsilon / 2.0)
+    return RecoveryResult(i + 1, residual, method, residual < epsilon / 2.0)
 
 
 def recover_threshold(table: IntegralTable, epsilon: float) -> RecoveryResult | None:
@@ -165,9 +168,10 @@ def recover_match(
 
     Cost: O(log n) when each parity class of the rows is monotone
     (``table.class_rising`` is not ``None``): one C-level ``bisect`` per
-    class over a memoryview of its strided view, whose boundary the scan's
-    own gap test then proves.  A linear scan, O(n), on other tables.
-    Either way the result is the scan's, and the method tag is table-scan.
+    class over the memoryview of its strided view that the table built
+    once, whose boundary the scan's own gap test then proves.  A linear
+    scan, O(n), on other tables.  Either way the result is the scan's, and
+    the method tag is table-scan.
     """
     return _recover_row(table, target, epsilon, RecoveryMethod.TABLE_SCAN)
 
@@ -180,9 +184,10 @@ def recover_binary(
     Cost: O(log n) when each parity class of the rows is monotone, O(n)
     otherwise.  Within a monotone class the rows matching the target form
     one contiguous run, so the earliest match per class is one C-level
-    ``bisect`` over a memoryview of ``values[0::2]`` or ``values[1::2]``
-    away, with no copy, plus the scan's gap test at the boundary; the
-    overall answer is the earlier of the two class results.
+    ``bisect`` away, over the memoryview of ``values[0::2]`` or
+    ``values[1::2]`` that the table wrapped once, when it was built, plus
+    the scan's gap test at the boundary; the overall answer is the earlier
+    of the two class results.
 
     The method tag is table-binary only on a table that alternates in sign
     under a shrinking magnitude envelope (``supports_binary``); on any

@@ -44,14 +44,13 @@ __all__ = [
     "save_table_json",
     "save_table_csv",
     "load_table",
-    "write_lines",
 ]
 
 FORMAT_VERSION = 1
 
-# Rows the JSON writer formats and joins at once, so the text of the whole
-# table is never held.
-_JSON_BLOCK_ROWS = 1 << 14
+# Rows a writer converts to Python floats, and the JSON writer joins, at
+# once, so neither the floats nor the text of a whole table are ever held.
+_BLOCK_ROWS = 1 << 14
 
 
 def family_descriptor(family: CoefficientFamily) -> dict:
@@ -94,10 +93,16 @@ def _gap_error(path) -> ValueError:
     return ValueError(f"rows of {path} must run 1..n_max in order with no gaps")
 
 
-def write_lines(path, lines) -> None:
+def _write_lines(path, lines) -> None:
     """Write each line of an iterable as it comes, ending every one with a newline."""
     with open(path, "w", newline="") as handle:
         handle.writelines(line + "\n" for line in lines)
+
+
+def _items_in_blocks(values: np.ndarray):
+    """The items of a 1-D array as Python floats, converted ``_BLOCK_ROWS`` at a time."""
+    for start in range(0, values.size, _BLOCK_ROWS):
+        yield from values[start : start + _BLOCK_ROWS].tolist()
 
 
 def save_table_json(table: IntegralTable, path) -> None:
@@ -107,7 +112,7 @@ def save_table_json(table: IntegralTable, path) -> None:
     Only the meta block goes through ``json``, whose indenting encoder runs
     in pure Python; each row is one f-string, and ``repr`` is the text
     ``json`` writes for a finite float.  The rows are joined and written in
-    blocks of ``_JSON_BLOCK_ROWS``.
+    blocks of ``_BLOCK_ROWS``.
     """
     if table.family is None or table.delta is None:
         raise ValueError("table has no family/width metadata; save it as CSV instead")
@@ -120,15 +125,15 @@ def save_table_json(table: IntegralTable, path) -> None:
     meta_text = json.dumps({"meta": meta}, indent=2, sort_keys=True)
     # "rows" sorts after "meta", so it goes where the meta-only document closes
     head = [meta_text.removesuffix("\n}") + ",", '  "rows": [']
-    write_lines(path, itertools.chain(head, _json_row_blocks(table.values), ["  ]", "}"]))
+    _write_lines(path, itertools.chain(head, _json_row_blocks(table.values), ["  ]", "}"]))
 
 
 def _json_row_blocks(values: np.ndarray):
     """The JSON rows as one text per block, each block but the last ending in a comma."""
-    for start in range(0, values.size, _JSON_BLOCK_ROWS):
-        rows = enumerate(values[start : start + _JSON_BLOCK_ROWS].tolist(), start=start + 1)
+    for start in range(0, values.size, _BLOCK_ROWS):
+        rows = enumerate(values[start : start + _BLOCK_ROWS].tolist(), start=start + 1)
         text = ",\n".join([f"    [\n      {n},\n      {value!r}\n    ]" for n, value in rows])
-        yield text if start + _JSON_BLOCK_ROWS >= values.size else text + ","
+        yield text if start + _BLOCK_ROWS >= values.size else text + ","
 
 
 def _parse_json(text: str, path) -> IntegralTable:
@@ -161,9 +166,9 @@ def _parse_json(text: str, path) -> IntegralTable:
 
 
 def save_table_csv(table: IntegralTable, path) -> None:
-    """Write rows as ``N,I`` lines at 17 significant digits."""
-    rows = enumerate(table.values.tolist(), start=1)
-    write_lines(path, itertools.chain(["N,I"], (f"{n},{value:.17g}" for n, value in rows)))
+    """Write rows as ``N,I`` lines at 17 significant digits, ``_BLOCK_ROWS`` rows converted at a time."""
+    rows = enumerate(_items_in_blocks(table.values), start=1)
+    _write_lines(path, itertools.chain(["N,I"], (f"{n},{value:.17g}" for n, value in rows)))
 
 
 def _parse_csv(text: str, path) -> IntegralTable:

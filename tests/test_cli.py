@@ -7,8 +7,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smoothint import Canonical, ExpPoly, Generalized, MultiEncoderConfig, Trig, integral_multi
-from smoothint import cli
+from smoothint import (
+    Canonical,
+    EncoderConfig,
+    ExpPoly,
+    Generalized,
+    MultiEncoderConfig,
+    Sigmoid,
+    Trig,
+    integral_closed,
+    integral_multi,
+)
+from smoothint import cli, tableio
 from smoothint.cli import build_parser, main
 from smoothint.coefficients import FAMILIES
 
@@ -366,9 +376,37 @@ def test_plot_data_streams_its_rows(capsys, tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert len(path.read_text().splitlines()) == 200001
-    # streamed, the peak is the sums and their floats, about 8 MB; a writer
+    # streamed in blocks, the peak is the sums and their making, about 5 MB;
+    # the floats of all 200000 sums at once add about 3 MB, and a writer
     # that holds all 200000 lines in one list peaks at about 19 MB
-    assert peak < 12 * 2**20
+    assert peak < 6 * 2**20
+
+
+@pytest.mark.parametrize(
+    "what", [["counter", "--n", "7.5", "--points", "13"], ["imap", "--n", "13"], ["partials", "--n", "8"]],
+    ids=lambda w: w[0],
+)
+@pytest.mark.parametrize("block_rows", [1, 4, 5])
+def test_plot_data_converts_blocks_as_one_list_does(capsys, tmp_path, monkeypatch, what, block_rows):
+    whole = tmp_path / "whole.csv"
+    assert run(capsys, "plot-data", "--what", *what, "--family", "trig", "--out", str(whole))[0] == 0
+    monkeypatch.setattr(tableio, "_BLOCK_ROWS", block_rows)
+    blocked = tmp_path / "blocked.csv"
+    assert run(capsys, "plot-data", "--what", *what, "--family", "trig", "--out", str(blocked))[0] == 0
+    assert blocked.read_bytes() == whole.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["canonical", "generalized", "exppoly", "trig"])
+@pytest.mark.parametrize("sharpness", ["0.5", "4", "25"])
+def test_plot_smooth_writes_the_per_point_closed_form(capsys, tmp_path, kind, sharpness):
+    flags, family = MULTIDIM_FAMILIES[kind]
+    path = tmp_path / "smooth.csv"
+    argv = ["plot-data", "--what", "smooth", "--range", "0:30", "--points", "97", "--sharpness", sharpness]
+    assert run(capsys, *argv, "--family", kind, *flags, "--out", str(path))[0] == 0
+    config = EncoderConfig(family=family, delta=0.2, transition=Sigmoid(float(sharpness)))
+    xs = np.linspace(0.0, 30.0, 97).tolist()
+    lines = [f"{x:.17g},{integral_closed(config, x):.17g}\n" for x in xs]
+    assert path.read_bytes() == ("x,y\n" + "".join(lines)).encode()
 
 
 @pytest.mark.parametrize("n_max", ["1000,1000,1000", "100000,100000"])

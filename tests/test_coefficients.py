@@ -286,10 +286,10 @@ CANONICAL = EncoderConfig(family=Canonical())
 # (call, the start of its refusal)
 TOO_MANY = [
     (lambda: partial_sums(Canonical(), 10**9), "n_max = 1000000000 "),
-    (lambda: partial_sum(Generalized(0.3, 2.0, 1.5), 10**9), "n_max = 1000000000 "),
+    (lambda: partial_sum(Generalized(0.3, 2.0, 1.5), 10**9), "n = 1000000000 "),
     (lambda: build_table(CANONICAL, 10**9), "n_max = 1000000000 "),
-    (lambda: integral_closed(CANONICAL, 1e9), "n_max = 1000000000 "),
-    (lambda: integral_closed(EncoderConfig(family=Trig()), 1e9 + 0.5), "n_max = 1000000000 "),
+    (lambda: integral_closed(CANONICAL, 1e9), "n_value = 1000000000.0 "),
+    (lambda: integral_closed(EncoderConfig(family=Trig()), 1e9 + 0.5), "n_value = 1000000000.5 "),
     (lambda: integral_closed(EncoderConfig(family=Canonical(), transition=Sigmoid()), 1e9), "N=1000000000.0 "),
     (lambda: map_derivative_smooth(EncoderConfig(family=Canonical(), transition=Sigmoid()), 1e9), "N=1000000000.0 "),
     (lambda: recover_multi(MultiEncoderConfig.isotropic(Canonical(), 2), 10**9, 1e-3), "n_max = 1000000000 "),

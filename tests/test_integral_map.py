@@ -11,6 +11,7 @@ from smoothint import (
     EncoderConfig,
     ExpPoly,
     Generalized,
+    Heaviside,
     IntegralTable,
     Sigmoid,
     Smoothstep,
@@ -23,7 +24,9 @@ from smoothint import (
     map_derivative_smooth,
     partial_sums,
     save_table_json,
+    term_weights,
 )
+from smoothint.integral_map import _smooth_integrals
 
 # independently derived closed-form values at delta = 0.2
 KNOWN_VALUES = {
@@ -239,3 +242,24 @@ def test_map_derivative_requires_smooth_sigmoid(canonical_config):
     stepped = EncoderConfig(family=Canonical(), transition=Smoothstep())
     with pytest.raises(ValueError, match="Sigmoid"):
         map_derivative_smooth(stepped, 2.0)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [Canonical(), Generalized(0.3, 2.0, 1.5), Generalized(-0.4, 0.0, 1.0), ExpPoly(2.0), Trig()],
+    ids=repr,
+)
+@pytest.mark.parametrize(
+    "transition", [Sigmoid(10.0), Sigmoid(2.0), Sigmoid(0.2), Smoothstep(0.3), Heaviside()], ids=repr
+)
+@pytest.mark.parametrize("lo, hi", [(0.0, 10.0), (0.0, 200.0), (990.0, 1000.0)])
+def test_smooth_integrals_are_the_per_point_closed_form(family, transition, lo, hi):
+    config = EncoderConfig(family=family, delta=0.2, transition=transition)
+    xs = np.linspace(lo, hi, 101).tolist()
+    # each point's own terms, weights and coefficients, as one array each
+    expected = []
+    for x in xs:
+        ns, weights = term_weights(config, x)
+        expected.append((area_scale(0.2) * float(np.dot(weights, family.coefficients(ns)))).hex())
+    assert [y.hex() for y in _smooth_integrals(config, xs)] == expected
+    assert [integral_closed(config, x).hex() for x in xs] == expected

@@ -1,5 +1,7 @@
 import bisect
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from smoothint import (
     Generalized,
     IntegralTable,
     RecoveryMethod,
+    RecoveryResult,
     Trig,
     area_scale,
     build_table,
@@ -547,3 +550,63 @@ def test_noise_sweep_equals_per_draw_scan(family, true_n):
     amplitudes = [0.0, epsilon / 2.0, 2.0 * epsilon, 50.0 * epsilon]
     expected = replay_sweep(table, true_n, epsilon, amplitudes, 200, seed=5)
     assert noise_sweep(table, true_n, epsilon, amplitudes, trials=200, seed=5) == expected
+
+
+# one table of each family kind, plus a crafted one whose even-row class turns
+COPIED_TABLES = {
+    "canonical": build_table(EncoderConfig(family=Canonical(), delta=0.2), 3000),
+    "generalized": build_table(EncoderConfig(family=Generalized(0.3, 2.0, 1.5), delta=0.2), 3000),
+    "exppoly": build_table(EncoderConfig(family=ExpPoly(2.0), delta=0.2), 3000),
+    "trig": build_table(EncoderConfig(family=Trig(), delta=0.2), 3000),
+    "turning": IntegralTable(delta=None, family=None, values=np.array([1.0, 0.0, 3.0, 0.0, 2.0, 0.0, 4.0])),
+}
+
+
+def every_answer(table):
+    """Each recover_* answer at the first, middle and last row and at zero."""
+    values = table.values
+    targets = [values.item(0), values.item(values.size // 2), values.item(-1), 0.0]
+    answers = []
+    for target in targets:
+        for epsilon in (1e-9, 1e-3, 0.5):
+            answers += [recover_match(table, target, epsilon), recover_binary(table, target, epsilon)]
+        answers.append(recover_spline(table, target))
+    answers += [recover_threshold(table, epsilon) for epsilon in (1e-9, 1e-3, 0.5)]
+    return answers
+
+
+@pytest.mark.parametrize("kind", COPIED_TABLES)
+@pytest.mark.parametrize(
+    "duplicate", [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_a_copied_table_rebuilds_its_search_structure(kind, duplicate):
+    assert set(COPIED_TABLES) - {"turning"} == set(FAMILIES)
+    table = COPIED_TABLES[kind]
+    twin = duplicate(table)
+    assert twin is not table and twin.values is not table.values
+    assert twin.values.tobytes() == table.values.tobytes()
+    assert (twin.delta, twin.family) == (table.delta, table.family)
+    assert twin.class_rising == table.class_rising
+    assert (twin.class_rising is None) is (kind == "turning")
+    assert twin.supports_binary is table.supports_binary
+    assert every_answer(twin) == every_answer(table)
+
+
+def test_a_pickled_table_holds_its_rows_once():
+    table = COPIED_TABLES["canonical"]
+    assert len(pickle.dumps(table)) < table.values.nbytes + 1024
+
+
+def test_recovery_result_is_an_immutable_record():
+    result = RecoveryResult(n=2.6, residual=1e-12, method=RecoveryMethod.SPLINE, stable=True)
+    assert RecoveryResult._fields == ("n", "residual", "method", "stable")
+    assert tuple(result) == (2.6, 1e-12, RecoveryMethod.SPLINE, True)
+    assert repr(result) == (
+        "RecoveryResult(n=2.6, residual=1e-12, method=<RecoveryMethod.SPLINE: 'spline'>, stable=True)"
+    )
+    assert result == RecoveryResult(2.6, 1e-12, RecoveryMethod.SPLINE, True)
+    assert result != RecoveryResult(2.6, 1e-12, RecoveryMethod.SPLINE, False)
+    assert result.nearest_integer == 3
+    for name in RecoveryResult._fields:
+        with pytest.raises(AttributeError):
+            setattr(result, name, 0)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -393,11 +394,35 @@ def test_json_writer_lays_out_a_large_file_as_the_json_module_does(tmp_path):
 @pytest.mark.parametrize("n_max", [1, 3, 4, 5, 8, 13])
 def test_json_writer_joins_blocks_as_the_json_module_does(tmp_path, monkeypatch, n_max):
     # blocks of four rows: one partial block, one whole, and whole or partial after more
-    monkeypatch.setattr(tableio, "_JSON_BLOCK_ROWS", 4)
+    monkeypatch.setattr(tableio, "_BLOCK_ROWS", 4)
     table = build_table(EncoderConfig(family=Trig(), delta=0.2), n_max)
     path = tmp_path / "t.json"
     save_table_json(table, path)
     assert path.read_bytes() == json_module_bytes(table)
+
+
+@pytest.mark.parametrize("block_rows", [1, 4, 5])
+@pytest.mark.parametrize("n_max", [1, 3, 4, 5, 8, 13])
+def test_csv_writer_converts_blocks_as_one_list_does(tmp_path, monkeypatch, block_rows, n_max):
+    # blocks end before, at and past the last row
+    monkeypatch.setattr(tableio, "_BLOCK_ROWS", block_rows)
+    table = build_table(EncoderConfig(family=Trig(), delta=0.2), n_max)
+    path = tmp_path / "t.csv"
+    save_table_csv(table, path)
+    lines = [f"{n},{value:.17g}\n" for n, value in enumerate(table.values.tolist(), start=1)]
+    assert path.read_bytes() == ("N,I\n" + "".join(lines)).encode()
+
+
+def test_csv_writer_holds_one_block(tmp_path):
+    table = build_table(EncoderConfig(family=Canonical(), delta=0.2), 200_000)
+    tracemalloc.start()
+    try:
+        save_table_csv(table, tmp_path / "t.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block's floats take about 0.5 MB; the whole table's take about 6 MB
+    assert peak < 2 * 2**20
 
 
 # Each edit turns one row (row number text, value text) into a line; "1_0" is
