@@ -38,7 +38,8 @@ __all__ = [
 
 
 def _parity_signs(ns: np.ndarray) -> np.ndarray:
-    return np.where(ns % 2 == 0, 1.0, -1.0)
+    """(-1)^n as floats for an integer array: 1.0 at even n, -1.0 at odd n."""
+    return 1.0 - 2.0 * (ns & 1)
 
 
 # |alpha|^n below 2^-1100 is 2^25 times smaller than half the smallest
@@ -189,29 +190,72 @@ def _check_row_count(name: str, count: int) -> int:
     return count
 
 
+# Rows one chunk of a running sum evaluates and sums at once: its terms and
+# temporaries (128 KiB each) stay in cache, and no caller holds more.
+_CHUNK_ROWS = 1 << 14
+
+
+def _running_sums(
+    family: CoefficientFamily, n: int, out: np.ndarray | None = None, first: int | None = None
+):
+    """Yield S(1), ..., S(n) as consecutive chunks of running sums.
+
+    The first chunk holds ``first`` rows (default ``_CHUNK_ROWS``); each
+    later one doubles, up to ``_CHUNK_ROWS``.  The running total carries
+    into each chunk through its first term, and ``np.add.accumulate`` (the
+    loop ``np.cumsum`` runs, without its dispatch) adds left to right, so
+    every row has the bits of one ``np.cumsum`` over all n terms.  Nothing
+    is added to the very first term: 0.0 + -0.0 would turn it into +0.0.
+    With ``out``, each chunk is summed into its rows of ``out`` and the
+    chunk yielded is that view.
+    """
+    size = _CHUNK_ROWS if first is None else min(first, _CHUNK_ROWS)
+    start, carried = 1, None
+    while start <= n:
+        stop = min(n, start + size - 1)
+        terms = family.coefficients(np.arange(start, stop + 1))
+        if carried is not None:
+            terms[0] += carried
+        sums = np.add.accumulate(terms, out=None if out is None else out[start - 1 : stop])
+        yield sums
+        start, size, carried = stop + 1, min(2 * size, _CHUNK_ROWS), sums[-1]
+
+
 def partial_sums(family: CoefficientFamily, n_max: int) -> np.ndarray:
     """Running sums S(1), S(2), ..., S(n_max) as one array.
 
     Computed with a sequential accumulation, so each entry is bit-identical
-    to summing the coefficients one by one in index order.
+    to summing the coefficients one by one in index order.  The sums run in
+    chunks of ``_CHUNK_ROWS`` rows with the running total carried from one
+    chunk to the next, so besides the result only one chunk's temporaries
+    are held.
 
     The cost is linear in ``n_max``.  For :class:`Canonical` and
     :class:`Generalized` the geometric part alpha^n is computed only up to
     its underflow horizon (about 1100 rows for Canonical); every later term
-    is the exact zero ``pow`` would return, so a 10**6-row Canonical sum
-    costs about 20 ms instead of about 80 ms, with the same bits.
+    is the exact zero ``pow`` would return.  A 10**6-row Canonical sum takes
+    9-11 ms, against 22-25 ms for whole-length arrays, and peaks at 8.3 MiB
+    traced, about one result's size, against 23.8 MiB (best of 7-15 runs on
+    a 2-vCPU host, numpy 2.4.6).
 
     Raises:
         ValueError: ``n_max`` < 1, or more than ``MAX_ROWS`` rows.
         TypeError: ``n_max`` is not an integer.
     """
     n_max = _check_row_count("n_max", check_int("n_max", n_max, 1))
-    ns = np.arange(1, n_max + 1)
-    return np.cumsum(family.coefficients(ns))
+    if n_max <= _CHUNK_ROWS:  # one chunk: its sums are the result
+        return next(_running_sums(family, n_max))
+    out = np.empty(n_max)
+    for _ in _running_sums(family, n_max, out):
+        pass
+    return out
 
 
 def partial_sum(family: CoefficientFamily, n: int) -> float:
     """Sum of the first ``n`` coefficients, left to right.
+
+    Only the running total is kept: the sums run chunk by chunk, as in
+    :func:`partial_sums`, and no n-row array is held.
 
     Args:
         family: coefficient family to sum.
@@ -219,16 +263,17 @@ def partial_sum(family: CoefficientFamily, n: int) -> float:
             sum and yields exactly 0.0.
 
     Returns:
-        The accumulated value S(n).
+        The accumulated value S(n), the last row of ``partial_sums(family, n)``.
 
     Raises:
         ValueError: if ``n`` is negative, or more than ``MAX_ROWS``.
         TypeError: if ``n`` is not an integer.
     """
     n = _check_row_count("n", check_int("n", n, 0))
-    if n == 0:
-        return 0.0
-    return float(partial_sums(family, n)[-1])
+    total = 0.0
+    for sums in _running_sums(family, n):
+        total = sums[-1]
+    return float(total)
 
 
 def tail_bound(family: CoefficientFamily, n: int) -> float:

@@ -181,7 +181,8 @@ def build_table(config: EncoderConfig, n_max: int) -> IntegralTable:
     """
     if config.transition is not None:
         raise ValueError("tables are built from configurations without a transition")
-    values = area_scale(config.delta) * partial_sums(config.family, n_max)
+    values = partial_sums(config.family, n_max)
+    values *= area_scale(config.delta)  # in place: a scaled copy would double the peak
     return IntegralTable(delta=config.delta, family=config.family, values=values)
 
 

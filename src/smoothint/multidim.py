@@ -18,7 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validate import check_int, check_positive, check_real
-from .coefficients import CoefficientFamily, _check_family, _check_row_count, partial_sums
+from .coefficients import (
+    CoefficientFamily,
+    _check_family,
+    _check_row_count,
+    _running_sums,
+    partial_sums,
+)
 from .integral_map import area_scale
 
 __all__ = [
@@ -38,7 +44,7 @@ MultiIndex = tuple[int, ...]
 MAX_GRID_CELLS = 10**7
 
 # Rows in the first chunk of a coordinatewise axis scan; each later chunk
-# doubles, so a hit at row n costs O(n) and at most about log2(n) chunks.
+# doubles, up to ``coefficients._CHUNK_ROWS``, so a hit at row n costs O(n).
 _FIRST_CHUNK_ROWS = 256
 
 
@@ -209,8 +215,9 @@ def coordinatewise_recover(
     recovery reports ``None``.
 
     Cost: no table is built.  Each axis scans its running sums in chunks
-    that double in size and stops at its first match, so a hit at row n
-    costs O(n) and a miss the whole axis.
+    that double in size, up to 16384 rows, and stops at its first match, so
+    a hit at row n costs O(n) and a miss the whole axis; one chunk is held
+    at a time.
 
     Raises:
         ValueError: number of targets differs from the number of axes, a
@@ -238,23 +245,19 @@ def _first_match(
 ) -> int | None:
     """Smallest n <= limit with abs(scale * S(n) - target) < epsilon, or None.
 
-    The running sum carries into each chunk through its first term, and
-    ``np.cumsum`` adds left to right, so every value is the one
-    ``scale * partial_sums(family, limit)`` holds, bit for bit.
+    The running sums come in chunks from the kernel of
+    :func:`~smoothint.coefficients.partial_sums`, the first of
+    ``_FIRST_CHUNK_ROWS`` rows and each later one twice as long, up to that
+    kernel's cap, so every value is the one ``scale * partial_sums(family,
+    limit)`` holds, bit for bit.
     """
-    # nothing is added to the first term: 0.0 + -0.0 would turn it into +0.0
-    start, size, carried = 1, _FIRST_CHUNK_ROWS, None
-    while start <= limit:
-        stop = min(limit, start + size - 1)
-        terms = family.coefficients(np.arange(start, stop + 1))
-        if carried is not None:
-            terms[0] += carried
-        sums = np.cumsum(terms)
+    start = 1
+    for sums in _running_sums(family, limit, first=_FIRST_CHUNK_ROWS):
         values = scale * sums
         if not np.all(np.isfinite(values)):
             raise ValueError("table values must be finite")
         hits = np.flatnonzero(np.abs(values - target) < epsilon)
         if hits.size:
             return start + int(hits[0])
-        start, size, carried = stop + 1, 2 * size, sums[-1]
+        start += sums.size
     return None

@@ -159,7 +159,8 @@ def _parse_json(text: str, path) -> IntegralTable:
     _check_row_numbers(ns, path)
     if n_max != ns.size:
         raise ValueError(f"meta.n_max is {n_max} but {path} has {ns.size} rows")
-    expected = area_scale(delta) * partial_sums(family, n_max)
+    expected = partial_sums(family, n_max)
+    expected *= area_scale(delta)
     if not np.allclose(values, expected, rtol=1e-12, atol=1e-12):
         raise ValueError(f"values of {path} disagree with the closed form")
     return IntegralTable(delta=delta, family=family, values=values)

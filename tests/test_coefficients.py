@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +30,7 @@ from smoothint import (
     term_weights,
 )
 from smoothint import coefficients
+from smoothint.coefficients import FAMILIES
 
 ALL_FAMILIES = [Canonical(), Generalized(0.3, 2.0, 1.5), ExpPoly(2.0), Trig()]
 
@@ -171,6 +174,67 @@ def test_partial_sums_equal_sequential_fold():
     for n in range(1, 1201):
         acc += coefficient(fam, n)
         assert sums[n - 1] == acc
+
+
+def test_parity_signs_match_the_modulo_rule_bitwise():
+    int64 = np.iinfo(np.int64)
+    arrays = [
+        np.arange(-9, 40),
+        np.array([int64.min, int64.min + 1, -(2**53) - 1, 2**53 + 1, int64.max - 1, int64.max]),
+        np.arange(0, 40, dtype=np.int32),
+        np.arange(0, 40, dtype=np.uint64),
+    ]
+    for ns in arrays:
+        assert np.array_equal(_bits(coefficients._parity_signs(ns)), _bits(_signs(ns)))
+
+
+# valid values for every parameter a registered family declares
+PARAMETERS = {
+    "alpha": st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    "beta": st.floats(min_value=-10.0, max_value=10.0),
+    "gamma": st.floats(min_value=1.0, max_value=4.0),
+    "p": st.floats(min_value=1.0, max_value=4.0),
+}
+
+
+@st.composite
+def families(draw):
+    cls = FAMILIES[draw(st.sampled_from(list(FAMILIES)))]
+    return cls(**{f.name: draw(PARAMETERS[f.name]) for f in dataclasses.fields(cls)})
+
+
+@given(
+    families(),
+    st.sampled_from([1, 2, 3, 7]),
+    st.integers(min_value=0, max_value=140),
+    st.sampled_from([-1, 0, 1]),
+)
+@example(family=Generalized(-0.0, 0.0, 1.0), chunk_rows=2, multiple=1, offset=1)  # S(1) = -0.0
+@example(family=Generalized(-0.4, 0.0, 1.0), chunk_rows=7, multiple=125, offset=1)  # zeros past row 833
+@example(family=Generalized(0.5, 1.0, 1.0), chunk_rows=3, multiple=40, offset=-1)
+def test_chunked_sums_have_the_bits_of_one_cumsum(family, chunk_rows, multiple, offset):
+    # n straddles a multiple of the chunk size, so chunks end before, on and after row n
+    n = max(1, chunk_rows * multiple + offset)
+    reference = np.cumsum(family.coefficients(np.arange(1, n + 1)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coefficients, "_CHUNK_ROWS", chunk_rows)
+        sums = partial_sums(family, n)
+        last = partial_sum(family, n)
+        if family == Generalized(0.5, 1.0, 1.0):
+            assert np.array_equal(_bits(sums), _bits(partial_sums(Canonical(), n)))
+    assert np.array_equal(_bits(sums), _bits(reference))
+    assert _bits([last]) == _bits(reference[-1:])
+
+
+def test_partial_sum_holds_one_chunk():
+    tracemalloc.start()
+    try:
+        partial_sum(Canonical(), 5 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 5 * 10**6 sums would take 38 MiB; one chunk's temporaries take under 1 MiB
+    assert peak < 2 * 2**20
 
 
 def test_partial_sum_values():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,19 @@ def test_build_table_validates_n_max(canonical_config):
         build_table(canonical_config, 0)
     with pytest.raises(TypeError):
         build_table(canonical_config, 2.5)
+
+
+@pytest.mark.parametrize("family", [Canonical(), Trig(), ExpPoly(2.0), Generalized(0.3, 2.0, 1.5)], ids=repr)
+def test_build_table_peaks_near_one_table(family):
+    tracemalloc.start()
+    try:
+        table = build_table(EncoderConfig(family=family, delta=0.2), 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the values take 7.6 MiB; one chunk's temporaries and the table's
+    # finiteness check add about 1 MiB
+    assert peak <= table.values.nbytes + 1.5 * 2**20
 
 
 def test_table_supports_binary(table30):

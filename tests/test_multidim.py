@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from smoothint import (
     recover_match,
     recover_multi,
 )
-from smoothint import multidim
+from smoothint import coefficients, multidim
 from smoothint.coefficients import FAMILIES
 
 CANONICAL_2D = MultiEncoderConfig.isotropic(Canonical(), 2, delta=0.2)
@@ -313,6 +314,30 @@ def test_coordinatewise_miss_scans_the_axis_in_doubling_chunks(canonical_rows_ev
     config = MultiEncoderConfig.isotropic(Canonical(), 1)
     assert coordinatewise_recover(config, (10.0,), 1e-3, 10**4) is None
     assert canonical_rows_evaluated == [256, 512, 1024, 2048, 4096, 10**4 - 7936]
+
+
+def test_coordinatewise_chunks_stop_doubling_at_the_cap(monkeypatch, canonical_rows_evaluated):
+    monkeypatch.setattr(coefficients, "_CHUNK_ROWS", 1000)
+    config = MultiEncoderConfig.isotropic(Canonical(), 1)
+    assert coordinatewise_recover(config, (10.0,), 1e-3, 5000) is None
+    assert canonical_rows_evaluated == [256, 512, 1000, 1000, 1000, 1000, 232]
+    values = build_table(EncoderConfig(family=Canonical(), delta=0.2), 5000).values
+    # rows 1768 and 1769 end one chunk and start the next
+    for row in (1768, 1769, 4999):
+        assert coordinatewise_recover(config, (float(values[row - 1]),), 1e-15, 5000) == (row,)
+
+
+def test_coordinatewise_miss_holds_one_chunk(canonical_rows_evaluated):
+    config = MultiEncoderConfig.isotropic(Canonical(), 1)
+    tracemalloc.start()
+    try:
+        assert coordinatewise_recover(config, (10.0,), 1e-3, 2 * 10**6) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert sum(canonical_rows_evaluated) == 2 * 10**6
+    assert max(canonical_rows_evaluated) == coefficients._CHUNK_ROWS
 
 
 def test_coordinatewise_recover_refuses_a_non_finite_axis():
