@@ -175,8 +175,8 @@ def coefficient(family: CoefficientFamily, n: int) -> float:
     return float(family.coefficients(np.array([n]))[0])
 
 
-# Most rows one array of terms may hold: 10**7 float64 values are 80 MB,
-# the same size as ``multidim.MAX_GRID_CELLS``.
+# Most rows one array of terms, or cells one ``integral_multi`` grid, may
+# hold: 10**7 float64 values are 80 MB.
 MAX_ROWS = 10**7
 
 

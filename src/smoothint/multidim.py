@@ -30,7 +30,6 @@ from .integral_map import area_scale
 __all__ = [
     "MultiIndex",
     "MultiEncoderConfig",
-    "MAX_GRID_CELLS",
     "integral_multi",
     "recover_multi",
     "coordinatewise_recover",
@@ -39,9 +38,6 @@ __all__ = [
 # Index tuples order lexicographically under the native tuple comparison,
 # which is exactly the ordering the searches below promise.
 MultiIndex = tuple[int, ...]
-
-# Most values one ``integral_multi`` call returns: 10**7 float64 values are 80 MB.
-MAX_GRID_CELLS = 10**7
 
 # Rows in the first chunk of a coordinatewise axis scan; each later chunk
 # doubles, up to ``coefficients._CHUNK_ROWS``, so a hit at row n costs O(n).
@@ -108,15 +104,11 @@ def integral_multi(config: MultiEncoderConfig, indices):
 
     Raises:
         ValueError: a negative count, or a result of more than
-            ``MAX_GRID_CELLS`` values; nothing is allocated in that case.
+            ``MAX_ROWS`` values; nothing is allocated in that case.
         TypeError: a component that is not an integer or an integer array.
     """
     components = _check_indices(config, indices)
-    cells = math.prod(component.size for component in components)
-    if cells > MAX_GRID_CELLS:
-        raise ValueError(
-            f"grid of {cells} cells exceeds the limit of {MAX_GRID_CELLS} cells"
-        )
+    _check_row_count("cells", math.prod(component.size for component in components))
     product = np.ones(())
     for family, counts in zip(config.families, components):
         # entry n is S(n), with the empty sum S(0) = 0 in front
@@ -146,17 +138,19 @@ def recover_multi(
     ``None``.  With ``pareto=True`` returns instead the set of qualifying
     tuples that are minimal under componentwise comparison (no other
     qualifying tuple is <= in every coordinate), sorted lexicographically;
-    the set is empty when nothing qualifies.
+    the set is empty when nothing qualifies.  "Qualifying" means exactly
+    ``abs(integral_multi(config, tuple)) < epsilon``.
 
-    The search enumerates tuples in lexicographic order but prunes every
-    subtree whose best achievable magnitude, taking the smallest |S| still
-    available on each remaining axis, cannot reach epsilon.  First mode stops
-    at its first hit.  Pareto mode keeps, per prefix, only the first
-    qualifying component on the last axis, which dominates every later one,
-    and then filters these candidates in one pass: as they arrive in
+    One search serves both modes.  It enumerates tuples in lexicographic
+    order and streams each prefix's first qualifying tuple, which dominates
+    every later tuple with the same prefix.  A subtree is skipped when its
+    best achievable magnitude, taking the smallest |S| still available on
+    each remaining axis, cannot reach epsilon; that prune is sound, so no
+    qualifying tuple is lost.  First mode takes the head of the stream.
+    Pareto mode filters it in one pass: as candidates arrive in
     lexicographic order, every dominator of a candidate comes before it, so
     a candidate is minimal exactly when no tuple kept so far is <= it.  The
-    cost beyond the enumeration is O(|candidates| * |minimal set| * d).
+    cost beyond the pruned enumeration is O(|candidates| * |minimal set| * d).
     """
     epsilon = check_positive("epsilon", epsilon)
     limits = _axis_limits(config, n_max)
@@ -168,33 +162,29 @@ def recover_multi(
     best_tail = [1.0] * (d + 1)
     for i in range(d - 1, -1, -1):
         best_tail[i] = min(map(abs, sums[i])) * best_tail[i + 1]
+    # On the last axis best_tail is 1.0, so the prune is the integral's own
+    # test, bit for bit.  On an inner axis the bound, multiplied right to
+    # left, and the product it bounds, multiplied left to right, differ by
+    # at most 2d roundings of relative size 2**-53; while no product is
+    # subnormal, a cut wider by twice that prunes no qualifying tuple.
+    cut = [epsilon * (1.0 + 4 * d * 2.0**-53)] * (d - 1) + [epsilon]
 
-    found: list[MultiIndex] = []
-
-    def search(axis: int, prefix: tuple[int, ...], product: float) -> bool:
-        # a leaf returns True when its tuple qualifies, an inner call when first mode is done
-        if axis == d:
-            if scale * abs(product) < epsilon:
-                found.append(prefix)
-                return True
-            return False
-        for component in range(1, limits[axis] + 1):
-            partial = product * sums[axis][component - 1]
-            if scale * abs(partial) * best_tail[axis + 1] >= epsilon:
+    def candidates(axis: int, prefix: MultiIndex, product: float):
+        tail, bound, last = best_tail[axis + 1], cut[axis], axis == d - 1
+        for component, s in enumerate(sums[axis], 1):
+            partial = product * s
+            if scale * abs(partial) * tail >= bound:
                 continue
-            if search(axis + 1, prefix + (component,), partial):
-                if not pareto:
-                    return True
-                if axis == d - 1:
-                    # the first hit for this prefix dominates every later one
-                    break
-        return False
+            if last:
+                yield prefix + (component,)
+                return
+            yield from candidates(axis + 1, prefix + (component,), partial)
 
-    search(0, (), 1.0)
+    stream = candidates(0, (), 1.0)
     if not pareto:
-        return found[0] if found else None
+        return next(stream, None)
     minimal: list[MultiIndex] = []
-    for candidate in found:
+    for candidate in stream:
         if not any(all(k <= c for k, c in zip(kept, candidate)) for kept in minimal):
             minimal.append(candidate)
     return minimal

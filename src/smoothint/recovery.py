@@ -205,18 +205,24 @@ def recover_spline(
     """Continuous inversion of the tabulated map through a cubic spline.
 
     A knot whose tabulated value already matches the target within ``tol``
-    is returned directly (the curve also crosses most levels much earlier,
-    in the steep first interval, so without this pass an exactly tabulated
-    value would be shadowed by that crossing).  Otherwise the first
-    sign-change interval of (spline - target), scanning left to right, is
-    rooted to ``tol``.  With neither a knot nor a sign change, the result is
-    ``None`` and no spline is fitted.
+    is returned directly, with its residual read from the table (the curve
+    also crosses most levels much earlier, in the steep first interval, so
+    without this pass an exactly tabulated value would be shadowed by that
+    crossing).  Otherwise the first sign-change interval of (spline -
+    target), scanning left to right, is rooted to ``tol``.  With neither a
+    knot nor a sign change, the result is ``None`` and no spline is fitted.
 
     Stability means the spline's slope |dI/dN| at the result exceeds
     ``DEFAULT_STABILITY_EPSILON``, so the inversion is locally well conditioned.
+
+    Raises:
+        ValueError: a table of fewer than 3 rows, which no spline fits,
+            whatever the target.
     """
     target = check_real("target", target)
     tol = check_positive("tol", tol)
+    if table.n_max < 3:
+        raise ValueError(f"spline recovery needs at least 3 rows, got {table.n_max}")
     gap = table.values - target
     knot_hits = np.flatnonzero(np.abs(gap) <= tol)
     brackets = np.flatnonzero(gap[:-1] * gap[1:] < 0.0)
@@ -225,6 +231,7 @@ def recover_spline(
     spline = spline_fit(table.values)
     if knot_hits.size:
         n_star = float(knot_hits[0] + 1)
+        residual = abs(gap[knot_hits[0]])
     else:
         i = int(brackets[0])
         n_star = find_root_bracketed(
@@ -233,7 +240,7 @@ def recover_spline(
             float(i + 2),
             tol,
         )
-    residual = abs(spline_eval(spline, n_star) - target)
+        residual = abs(spline_eval(spline, n_star) - target)
     slope = spline_derivative(spline, n_star)
     return RecoveryResult(
         n=n_star,

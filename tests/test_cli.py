@@ -409,6 +409,46 @@ def test_plot_smooth_writes_the_per_point_closed_form(capsys, tmp_path, kind, sh
     assert path.read_bytes() == ("x,y\n" + "".join(lines)).encode()
 
 
+SWEEP_ARGS = ["sweep", "--table", "t.json", "--true-n", "8", "--epsilon", "0.005"]
+
+# argv without --out, and the end of what is written to stderr
+REFUSALS = [
+    (["table", "--n-max", "10", "--family", "exppoly", "--p", "inf"],
+     "error: argument --p: expected a finite real, got 'inf'\n"),
+    ([*SWEEP_ARGS, "--amplitudes", "0.1,x"],
+     "error: argument --amplitudes: expected comma-separated floats, got '0.1,x'\n"),
+    ([*SWEEP_ARGS, "--amplitudes", ", ,"], "error: argument --amplitudes: expected at least one value\n"),
+    (["plot-data", "--what", "smooth", "--range", "1:2:3"], "error: argument --range: expected lo:hi, got '1:2:3'\n"),
+    (["plot-data", "--what", "smooth", "--range", "2:1"],
+     "error: argument --range: expected finite lo < hi, got '2:1'\n"),
+    (["plot-data", "--what", "imap"], "error: --n is required for --what imap\n"),
+    (["plot-data", "--what", "partials"], "error: --n is required for --what partials\n"),
+    (["plot-data", "--what", "partials", "--n", "2.5"], "error: --n must be a positive integer here\n"),
+    (["plot-data", "--what", "imap", "--n", "0"], "error: --n must be a positive integer here\n"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS, ids=[" ".join(argv) for argv, _ in REFUSALS])
+def test_refused_arguments_are_exit_2_and_write_nothing(capsys, tmp_path, argv, message):
+    path = tmp_path / "out.csv"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.endswith(message)
+    assert not path.exists()
+
+
+def test_spline_recovery_refuses_a_two_row_table(capsys, tmp_path):
+    path = tmp_path / "t.json"
+    assert main(["table", "--n-max", "2", "--out", str(path)]) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, "recover", "--table", str(path), "--target", "0", "--epsilon", "0.01",
+                         "--method", "spline")
+    assert code == 2
+    assert out == ""
+    assert err == "error: spline recovery needs at least 3 rows, got 2\n"
+
+
 @pytest.mark.parametrize("n_max", ["1000,1000,1000", "100000,100000"])
 def test_multidim_refuses_grids_over_the_cell_cap(capsys, tmp_path, n_max):
     path = tmp_path / "grid.csv"

@@ -154,6 +154,12 @@ def test_table_rejects_nonfinite_values():
         IntegralTable(delta=None, family=None, values=np.array([0.1, math.nan]))
 
 
+@pytest.mark.parametrize("values", [[], [[0.1, 0.2]], [[0.1], [0.2]]], ids=["empty", "one row of 2", "two rows of 1"])
+def test_table_rejects_values_that_are_not_a_non_empty_vector(values):
+    with pytest.raises(ValueError, match="^table values must be a non-empty 1-D array$"):
+        IntegralTable(delta=None, family=None, values=np.array(values))
+
+
 def test_table_rejects_values_off_the_closed_form(tmp_path):
     # the constructor keeps any finite values; the JSON loader checks provenance
     values = area_scale(0.2) * partial_sums(Canonical(), 5)

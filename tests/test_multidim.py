@@ -81,17 +81,19 @@ def test_config_validation():
         MultiEncoderConfig.isotropic(Canonical(), 0)
 
 
-def _brute_force_hits(config, limit, epsilon):
-    hits = []
-    for combo in itertools.product(range(1, limit + 1), repeat=config.dimension):
-        if abs(integral_multi(config, combo)) < epsilon:
-            hits.append(combo)
-    return hits
+def _grid(config, limits):
+    return integral_multi(config, [np.arange(1, limit + 1) for limit in limits])
+
+
+def _grid_hits(config, limits, epsilon):
+    # every cell at once; argwhere lists them in lexicographic order
+    grid = _grid(config, limits)
+    return [tuple(int(i) + 1 for i in index) for index in np.argwhere(np.abs(grid) < epsilon)]
 
 
 @pytest.mark.parametrize("epsilon", [1e-2, 1e-3, 4e-4])
 def test_recover_multi_equals_exhaustive_search(epsilon):
-    hits = _brute_force_hits(CANONICAL_2D, 12, epsilon)
+    hits = _grid_hits(CANONICAL_2D, (12, 12), epsilon)
     expected = min(hits) if hits else None
     assert recover_multi(CANONICAL_2D, 12, epsilon) == expected
 
@@ -112,7 +114,7 @@ def test_recover_multi_pareto_equals_exhaustive_filter():
         (MultiEncoderConfig(families=(Canonical(), Trig(), ExpPoly(2.0)), delta=0.2), 9, 3e-3),
     ]
     for config, limit, epsilon in cases:
-        hits = _brute_force_hits(config, limit, epsilon)
+        hits = _grid_hits(config, (limit,) * config.dimension, epsilon)
         minimal = _minimal(hits)
         assert recover_multi(config, limit, epsilon, pareto=True) == minimal
         assert len(hits) > len(minimal) >= 1
@@ -190,18 +192,37 @@ def multidim_cases(draw):
         cls = FAMILIES[draw(st.sampled_from(list(FAMILIES)))]
         families.append(cls(**{f.name: draw(PARAMETERS[f.name]) for f in dataclasses.fields(cls)}))
     limits = draw(st.lists(st.integers(1, 12), min_size=dimension, max_size=dimension))
-    epsilon = 10.0 ** draw(st.floats(min_value=-6.0, max_value=-1.0))
-    return MultiEncoderConfig(families=tuple(families), delta=0.2), limits, epsilon
+    config = MultiEncoderConfig(families=tuple(families), delta=0.2)
+    # epsilon is a power of ten, one of the grid's own magnitudes, or one
+    # ulp above it; at the last two the prune must round as the integral does
+    magnitudes = np.abs(_grid(config, limits)).ravel()
+    edge = float(magnitudes[draw(st.integers(0, magnitudes.size - 1))])
+    epsilon = draw(
+        st.sampled_from(
+            [10.0 ** draw(st.floats(min_value=-6.0, max_value=-1.0)), edge, math.nextafter(edge, math.inf)]
+        ).filter(lambda e: e > 0.0)
+    )
+    return config, limits, epsilon
+
+
+def _assert_both_modes_equal_brute_force(config, limits, epsilon):
+    hits = _grid_hits(config, limits, epsilon)
+    assert recover_multi(config, limits, epsilon) == (min(hits) if hits else None)
+    assert recover_multi(config, limits, epsilon, pareto=True) == _minimal(hits)
+    return hits
 
 
 @given(multidim_cases())
 def test_recover_multi_equals_brute_force_for_any_family_mix(case):
-    config, limits, epsilon = case
-    # every cell at once; argwhere lists them in lexicographic order
-    grid = integral_multi(config, [np.arange(1, limit + 1) for limit in limits])
-    hits = [tuple(int(i) + 1 for i in index) for index in np.argwhere(np.abs(grid) < epsilon)]
-    assert recover_multi(config, limits, epsilon) == (min(hits) if hits else None)
-    assert recover_multi(config, limits, epsilon, pareto=True) == _minimal(hits)
+    _assert_both_modes_equal_brute_force(*case)
+
+
+def test_recover_multi_keeps_a_tuple_whose_subtree_bound_rounds_to_epsilon():
+    # |I(24, 25)| < epsilon, but the bound on the subtree of prefix (24,),
+    # multiplied in another order, is not below epsilon
+    epsilon = float.fromhex("0x1.a57d2fcaa979cp-14")
+    hits = _assert_both_modes_equal_brute_force(CANONICAL_2D, (25, 25), epsilon)
+    assert hits[0] == (24, 25)
 
 
 @pytest.mark.parametrize("limits", [(7, 1, 5), (12, 12), (3, 2, 2, 2), (1,), (9,)])
@@ -210,7 +231,7 @@ def test_grid_entries_equal_one_point_integrals_bit_for_bit(limits):
         families=(Generalized(0.3, 2.0, 1.5), Trig(), Canonical(), ExpPoly(2.0))[: len(limits)],
         delta=0.2,
     )
-    grid = integral_multi(config, [np.arange(1, limit + 1) for limit in limits])
+    grid = _grid(config, limits)
     assert grid.shape == limits
     for combo in itertools.product(*(range(1, limit + 1) for limit in limits)):
         assert grid[tuple(c - 1 for c in combo)] == integral_multi(config, combo)
@@ -242,9 +263,9 @@ def test_large_grids_are_refused_before_allocating(monkeypatch, limits):
 
 
 def test_grid_cap_is_inclusive(monkeypatch):
-    monkeypatch.setattr(multidim, "MAX_GRID_CELLS", 12)
+    monkeypatch.setattr(coefficients, "MAX_ROWS", 12)
     assert integral_multi(CANONICAL_2D, (np.arange(3), np.arange(4))).size == 12
-    with pytest.raises(ValueError, match="13 cells exceeds the limit of 12"):
+    with pytest.raises(ValueError, match="^cells = 13 exceeds the limit of 12$"):
         integral_multi(CANONICAL_2D, (np.arange(13), 1))
 
 

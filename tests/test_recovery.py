@@ -389,22 +389,33 @@ def test_spline_roots_the_first_crossing(table30):
     assert result.residual < 1e-12
 
 
-TWO_ROWS = IntegralTable(delta=None, family=None, values=np.array([0.1, 0.05]))
-
-
 def test_spline_none_when_level_is_never_reached(table30, monkeypatch):
     def fail(values):
         raise AssertionError("the spline was fitted")
 
     monkeypatch.setattr("smoothint.recovery.spline_fit", fail)
     assert recover_spline(table30, 0.5, tol=1e-9) is None
-    # decided before the fit, so a table too short to fit is no obstacle
-    assert recover_spline(TWO_ROWS, 0.5) is None
 
 
-def test_spline_on_a_table_too_short_to_fit():
-    with pytest.raises(ValueError, match="at least 3 points"):
-        recover_spline(TWO_ROWS, 0.07)
+def test_spline_knot_residual_is_read_from_the_table(table30):
+    # the spline evaluated at row 30 is 1.7e-18 off that row's value
+    assert recover_spline(table30, table30.value_at(30)).residual == 0.0
+    target = table30.value_at(30) + 1e-12
+    result = recover_spline(table30, target)
+    assert result.n == 30.0
+    assert result.residual == abs(table30.value_at(30) - target)
+
+
+@pytest.mark.parametrize("values", [[0.1], [0.1, 0.05]], ids=["1 row", "2 rows"])
+@pytest.mark.parametrize("target", [0.07, 0.1, 0.5], ids=["crossing", "knot", "miss"])
+def test_spline_on_a_table_too_short_to_fit(monkeypatch, values, target):
+    def fail(*args, **kwargs):
+        raise AssertionError("the table was scanned")
+
+    table = IntegralTable(delta=None, family=None, values=np.array(values))
+    monkeypatch.setattr(np, "flatnonzero", fail)
+    with pytest.raises(ValueError, match=f"^spline recovery needs at least 3 rows, got {len(values)}$"):
+        recover_spline(table, target)
 
 
 def test_spline_stability_threshold():

@@ -314,6 +314,14 @@ def test_family_descriptor_rejects_unknown():
         family_from_descriptor({"kind": "exppoly"})
 
 
+@pytest.mark.parametrize(
+    "thing, name", [(3, "int"), ("canonical", "str"), ({"kind": "canonical"}, "dict"), (None, "NoneType")]
+)
+def test_family_descriptor_refuses_what_is_not_a_family(thing, name):
+    with pytest.raises(TypeError, match=f"^unknown coefficient family {name}$"):
+        family_descriptor(thing)
+
+
 def test_round_trip_preserves_family_parameters(tmp_path):
     family = Generalized(alpha=0.25, beta=2.0, gamma=1.5)
     table = build_table(EncoderConfig(family=family, delta=0.1), 12)
