@@ -207,7 +207,9 @@ def coordinatewise_recover(
     Cost: no table is built.  Each axis scans its running sums in chunks
     that double in size, up to 16384 rows, and stops at its first match, so
     a hit at row n costs O(n) and a miss the whole axis; one chunk is held
-    at a time.
+    at a time.  A cold axis evaluates the coefficients of every row it
+    scans; a warm one reads rows 1..2**14 from its family's kept head (see
+    :mod:`smoothint.coefficients`) and evaluates only the rows past them.
 
     Raises:
         ValueError: number of targets differs from the number of axes, a
@@ -239,7 +241,9 @@ def _first_match(
     :func:`~smoothint.coefficients.partial_sums`, the first of
     ``_FIRST_CHUNK_ROWS`` rows and each later one twice as long, up to that
     kernel's cap, so every value is the one ``scale * partial_sums(family,
-    limit)`` holds, bit for bit.
+    limit)`` holds, bit for bit.  Rows 1..2**14 are read-only views of the
+    family's kept head, filled only as far as this scan or an earlier call
+    reached.
     """
     start = 1
     for sums in _running_sums(family, limit, first=_FIRST_CHUNK_ROWS):

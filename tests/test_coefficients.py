@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import random
+import sys
+import threading
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -216,12 +220,17 @@ def test_chunked_sums_have_the_bits_of_one_cumsum(family, chunk_rows, multiple, 
     # n straddles a multiple of the chunk size, so chunks end before, on and after row n
     n = max(1, chunk_rows * multiple + offset)
     reference = np.cumsum(family.coefficients(np.arange(1, n + 1)))
+    # each call starts with no kept heads, so every row is summed in the patched chunks
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(coefficients, "_CHUNK_ROWS", chunk_rows)
+        coefficients._heads.clear()
         sums = partial_sums(family, n)
+        coefficients._heads.clear()
         last = partial_sum(family, n)
         if family == Generalized(0.5, 1.0, 1.0):
+            coefficients._heads.clear()
             assert np.array_equal(_bits(sums), _bits(partial_sums(Canonical(), n)))
+        coefficients._heads.clear()
     assert np.array_equal(_bits(sums), _bits(reference))
     assert _bits([last]) == _bits(reference[-1:])
 
@@ -235,6 +244,125 @@ def test_partial_sum_holds_one_chunk():
         tracemalloc.stop()
     # the 5 * 10**6 sums would take 38 MiB; one chunk's temporaries take under 1 MiB
     assert peak < 2 * 2**20
+
+
+# rows at which a head's chunks, the head itself and a 30000-row call end
+HEAD_EDGES = [1, 255, 256, 257, 16383, 16384, 16385, 3 * 10**4]
+# families whose heads must be kept apart: signed zeros give different
+# bits, an int parameter gives the bits of the equal float, Canonical and
+# Trig have no parameters, and Generalized(0.5, 1, 1) has Canonical's bits
+KEY_NEIGHBOURS = [
+    Generalized(-0.0, 0.0, 1.0),
+    Generalized(-0.0, -0.0, 1.0),
+    Generalized(0.0, -0.0, 1.0),
+    Generalized(0.0, 0.0, 1.0),
+    Generalized(-0.4, -0.0, 1),
+    Generalized(-0.4, 0.0, 1),
+    Generalized(0.5, 1, 1),
+    Canonical(),
+    Trig(),
+    Generalized(0, -3, 2),
+    Generalized(0.0, -3.0, 2.0),
+    ExpPoly(2),
+    ExpPoly(2.0),
+]
+
+
+def _head_calls(family, n):
+    """Every public path over a family's head, each result as int64 bits or a tuple."""
+    config = MultiEncoderConfig.isotropic(family, 1)
+    last = float(build_table(EncoderConfig(family=family), n).values[-1])
+    return [
+        lambda: _bits(partial_sums(family, n)),
+        lambda: _bits([partial_sum(family, n)]),
+        lambda: _bits(build_table(EncoderConfig(family=family), n).values),
+        lambda: coordinatewise_recover(config, (last,), 1e-300, n),
+        lambda: coordinatewise_recover(config, (10.0,), 1e-3, n),
+    ]
+
+
+@given(
+    st.one_of(families(), st.sampled_from(KEY_NEIGHBOURS)),
+    st.sampled_from(KEY_NEIGHBOURS),
+    st.sampled_from(HEAD_EDGES),
+)
+@example(family=Generalized(-0.0, 0.0, 1.0), neighbour=Generalized(0.0, 0.0, 1.0), n=1)  # S(1) = -0.0 and 0.0
+@example(family=Generalized(0.5, 1, 1), neighbour=Canonical(), n=16385)
+@example(family=Trig(), neighbour=Canonical(), n=257)
+def test_kept_heads_give_the_bits_of_a_cold_call(family, neighbour, n):
+    reference = np.cumsum(family.coefficients(np.arange(1, n + 1)))
+    try:
+        for call, neighbour_call in zip(_head_calls(family, n), _head_calls(neighbour, n)):
+            coefficients._heads.clear()
+            cold = call()
+            coefficients._heads.clear()
+            neighbour_cold = neighbour_call()
+            # cold again beside the neighbour's head, then warm from its own
+            assert np.array_equal(call(), cold)
+            assert np.array_equal(call(), cold)
+            assert np.array_equal(neighbour_call(), neighbour_cold)
+        assert np.array_equal(_bits(partial_sums(family, n)), _bits(reference))
+        # a caller's array is its own: writing to it leaves the head alone
+        partial_sums(family, n)[:] = 7.0
+        build_table(EncoderConfig(family=family), n).values[:] = 7.0
+        assert np.array_equal(_bits(partial_sums(family, n)), _bits(reference))
+        for beta in range(coefficients._HEAD_FAMILIES + 1):
+            partial_sum(Generalized(0.5, beta, 1.0), 1)
+        assert len(coefficients._heads) == coefficients._HEAD_FAMILIES
+    finally:
+        coefficients._heads.clear()
+
+
+def test_heads_shared_by_threads_keep_their_bits(monkeypatch):
+    # two kept heads for four families, so heads are filled, read and
+    # evicted while other threads use them
+    monkeypatch.setattr(coefficients, "_HEAD_FAMILIES", 2)
+    family_list = [Canonical(), Trig(), Generalized(-0.0, 0.0, 1.0), Generalized(0.3, 2.0, 1.5)]
+    references = {
+        (family, n): _bits(np.cumsum(family.coefficients(np.arange(1, n + 1))))
+        for family in family_list
+        for n in (1, 300, 5000, 16384, 20000)
+    }
+    wrong = []
+
+    def work(seed):
+        try:
+            for family, n in random.Random(seed).sample(list(references), len(references)) * 3:
+                if not np.array_equal(_bits(partial_sums(family, n)), references[family, n]):
+                    wrong.append((family, n))
+        except Exception as error:  # a raising thread fails the test through `wrong`
+            wrong.append(error)
+
+    interval = sys.getswitchinterval()
+    coefficients._heads.clear()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        coefficients._heads.clear()
+    assert wrong == []
+
+
+def test_heads_evaluate_no_row_the_caller_did_not_ask_for():
+    # 35**200 overflows, so rows from 35 on warn; a head filled ahead of the
+    # rows asked for would warn on n = 30 too
+    family = Generalized(0.3, 1.0, 200.0)
+    coefficients._heads.clear()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            partial_sums(family, 30)  # cold
+            partial_sums(family, 30)  # warm
+        with pytest.warns(RuntimeWarning, match="overflow encountered in power"):
+            partial_sums(family, 40)
+    finally:
+        coefficients._heads.clear()
 
 
 def test_partial_sum_values():

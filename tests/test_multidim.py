@@ -312,7 +312,11 @@ def test_coordinatewise_recover_equals_per_axis_table_match(case):
 
 @pytest.fixture()
 def canonical_rows_evaluated(monkeypatch):
-    """Sizes of the row arrays passed to ``Canonical.coefficients``, in call order."""
+    """Sizes of the row arrays passed to ``Canonical.coefficients``, in call order.
+
+    The kept family heads are dropped before and after the test, so its
+    first call is cold and no later test reads rows summed here.
+    """
     evaluated = []
     exact = Canonical.coefficients
 
@@ -321,7 +325,9 @@ def canonical_rows_evaluated(monkeypatch):
         return exact(self, ns)
 
     monkeypatch.setattr(Canonical, "coefficients", counting)
-    return evaluated
+    coefficients._heads.clear()
+    yield evaluated
+    coefficients._heads.clear()
 
 
 def test_coordinatewise_hit_on_row_one_evaluates_only_the_first_chunk(canonical_rows_evaluated):
@@ -335,6 +341,10 @@ def test_coordinatewise_miss_scans_the_axis_in_doubling_chunks(canonical_rows_ev
     config = MultiEncoderConfig.isotropic(Canonical(), 1)
     assert coordinatewise_recover(config, (10.0,), 1e-3, 10**4) is None
     assert canonical_rows_evaluated == [256, 512, 1024, 2048, 4096, 10**4 - 7936]
+    canonical_rows_evaluated.clear()
+    # warm: every row comes from the family's head
+    assert coordinatewise_recover(config, (10.0,), 1e-3, 10**4) is None
+    assert canonical_rows_evaluated == []
 
 
 def test_coordinatewise_chunks_stop_doubling_at_the_cap(monkeypatch, canonical_rows_evaluated):
@@ -359,6 +369,11 @@ def test_coordinatewise_miss_holds_one_chunk(canonical_rows_evaluated):
     assert peak < 2 * 2**20
     assert sum(canonical_rows_evaluated) == 2 * 10**6
     assert max(canonical_rows_evaluated) == coefficients._CHUNK_ROWS
+    canonical_rows_evaluated.clear()
+    # warm: only the rows past the family's head are evaluated
+    assert coordinatewise_recover(config, (10.0,), 1e-3, 2 * 10**6) is None
+    assert sum(canonical_rows_evaluated) == 2 * 10**6 - coefficients._HEAD_ROWS
+    assert max(canonical_rows_evaluated) <= coefficients._CHUNK_ROWS
 
 
 def test_coordinatewise_recover_refuses_a_non_finite_axis():
