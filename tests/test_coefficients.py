@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import random
 import sys
@@ -223,14 +224,14 @@ def test_chunked_sums_have_the_bits_of_one_cumsum(family, chunk_rows, multiple, 
     # each call starts with no kept heads, so every row is summed in the patched chunks
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(coefficients, "_CHUNK_ROWS", chunk_rows)
-        coefficients._heads.clear()
+        coefficients._kept_head.cache_clear()
         sums = partial_sums(family, n)
-        coefficients._heads.clear()
+        coefficients._kept_head.cache_clear()
         last = partial_sum(family, n)
         if family == Generalized(0.5, 1.0, 1.0):
-            coefficients._heads.clear()
+            coefficients._kept_head.cache_clear()
             assert np.array_equal(_bits(sums), _bits(partial_sums(Canonical(), n)))
-        coefficients._heads.clear()
+        coefficients._kept_head.cache_clear()
     assert np.array_equal(_bits(sums), _bits(reference))
     assert _bits([last]) == _bits(reference[-1:])
 
@@ -249,8 +250,9 @@ def test_partial_sum_holds_one_chunk():
 # rows at which a head's chunks, the head itself and a 30000-row call end
 HEAD_EDGES = [1, 255, 256, 257, 16383, 16384, 16385, 3 * 10**4]
 # families whose heads must be kept apart: signed zeros give different
-# bits, an int parameter gives the bits of the equal float, Canonical and
-# Trig have no parameters, and Generalized(0.5, 1, 1) has Canonical's bits
+# bits, an int parameter and the equal float are two keys with the same
+# bits, Canonical and Trig have no parameters, and Generalized(0.5, 1, 1)
+# has Canonical's bits
 KEY_NEIGHBOURS = [
     Generalized(-0.0, 0.0, 1.0),
     Generalized(-0.0, -0.0, 1.0),
@@ -293,9 +295,9 @@ def test_kept_heads_give_the_bits_of_a_cold_call(family, neighbour, n):
     reference = np.cumsum(family.coefficients(np.arange(1, n + 1)))
     try:
         for call, neighbour_call in zip(_head_calls(family, n), _head_calls(neighbour, n)):
-            coefficients._heads.clear()
+            coefficients._kept_head.cache_clear()
             cold = call()
-            coefficients._heads.clear()
+            coefficients._kept_head.cache_clear()
             neighbour_cold = neighbour_call()
             # cold again beside the neighbour's head, then warm from its own
             assert np.array_equal(call(), cold)
@@ -308,15 +310,16 @@ def test_kept_heads_give_the_bits_of_a_cold_call(family, neighbour, n):
         assert np.array_equal(_bits(partial_sums(family, n)), _bits(reference))
         for beta in range(coefficients._HEAD_FAMILIES + 1):
             partial_sum(Generalized(0.5, beta, 1.0), 1)
-        assert len(coefficients._heads) == coefficients._HEAD_FAMILIES
+        assert coefficients._kept_head.cache_info().currsize == coefficients._HEAD_FAMILIES
     finally:
-        coefficients._heads.clear()
+        coefficients._kept_head.cache_clear()
 
 
 def test_heads_shared_by_threads_keep_their_bits(monkeypatch):
     # two kept heads for four families, so heads are filled, read and
     # evicted while other threads use them
-    monkeypatch.setattr(coefficients, "_HEAD_FAMILIES", 2)
+    kept_head = functools.lru_cache(maxsize=2)(coefficients._kept_head.__wrapped__)
+    monkeypatch.setattr(coefficients, "_kept_head", kept_head)
     family_list = [Canonical(), Trig(), Generalized(-0.0, 0.0, 1.0), Generalized(0.3, 2.0, 1.5)]
     references = {
         (family, n): _bits(np.cumsum(family.coefficients(np.arange(1, n + 1))))
@@ -334,7 +337,7 @@ def test_heads_shared_by_threads_keep_their_bits(monkeypatch):
             wrong.append(error)
 
     interval = sys.getswitchinterval()
-    coefficients._heads.clear()
+    coefficients._kept_head.cache_clear()
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
@@ -345,15 +348,36 @@ def test_heads_shared_by_threads_keep_their_bits(monkeypatch):
         assert not any(thread.is_alive() for thread in threads)
     finally:
         sys.setswitchinterval(interval)
-        coefficients._heads.clear()
+        coefficients._kept_head.cache_clear()
     assert wrong == []
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 16383, 16384])
+def test_a_longdouble_parameter_keeps_its_precision(n):
+    # rounded to a double, the wide alpha equals the narrow one, but
+    # np.power evaluates it in long double; a head keyed by doubles would
+    # hand one family the other's rows
+    wide = Generalized(np.longdouble("0.3"), 1.0, 1.0)
+    narrow = Generalized(0.3, 1.0, 1.0)
+    references = {family: np.cumsum(family.coefficients(np.arange(1, n + 1))) for family in (wide, narrow)}
+    assert not np.array_equal(references[wide], references[narrow])
+    try:
+        for first, second in ((wide, narrow), (narrow, wide)):
+            coefficients._kept_head.cache_clear()
+            for family in (first, second, first):
+                sums = partial_sums(family, n)
+                assert sums.dtype == references[family].dtype
+                assert np.array_equal(sums, references[family])
+                assert partial_sum(family, n) == float(references[family][-1])
+    finally:
+        coefficients._kept_head.cache_clear()
 
 
 def test_heads_evaluate_no_row_the_caller_did_not_ask_for():
     # 35**200 overflows, so rows from 35 on warn; a head filled ahead of the
     # rows asked for would warn on n = 30 too
     family = Generalized(0.3, 1.0, 200.0)
-    coefficients._heads.clear()
+    coefficients._kept_head.cache_clear()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -362,7 +386,7 @@ def test_heads_evaluate_no_row_the_caller_did_not_ask_for():
         with pytest.warns(RuntimeWarning, match="overflow encountered in power"):
             partial_sums(family, 40)
     finally:
-        coefficients._heads.clear()
+        coefficients._kept_head.cache_clear()
 
 
 def test_partial_sum_values():

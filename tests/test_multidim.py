@@ -325,9 +325,9 @@ def canonical_rows_evaluated(monkeypatch):
         return exact(self, ns)
 
     monkeypatch.setattr(Canonical, "coefficients", counting)
-    coefficients._heads.clear()
+    coefficients._kept_head.cache_clear()
     yield evaluated
-    coefficients._heads.clear()
+    coefficients._kept_head.cache_clear()
 
 
 def test_coordinatewise_hit_on_row_one_evaluates_only_the_first_chunk(canonical_rows_evaluated):
