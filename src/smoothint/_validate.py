@@ -2,7 +2,8 @@
 
 Integers are ``int`` and ``np.integer``; reals are those plus ``float`` and
 ``np.floating``.  ``bool`` and ``str`` are neither, and a float is not an
-integer even when it is whole.  Each check returns a plain ``int`` or ``float``.
+integer even when it is whole.  Each check returns a plain ``int`` or
+``float``, and every constructor stores the parameter as that value.
 """
 
 import math

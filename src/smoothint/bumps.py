@@ -43,7 +43,7 @@ class Sigmoid:
     sharpness: float = 10.0
 
     def __post_init__(self) -> None:
-        check_positive("sharpness", self.sharpness)
+        object.__setattr__(self, "sharpness", check_positive("sharpness", self.sharpness))
 
     @property
     def reach(self) -> float:
@@ -75,7 +75,7 @@ class Smoothstep:
     halfwidth: float = 0.5
 
     def __post_init__(self) -> None:
-        check_positive("halfwidth", self.halfwidth)
+        object.__setattr__(self, "halfwidth", check_positive("halfwidth", self.halfwidth))
 
     @property
     def reach(self) -> float:

@@ -9,7 +9,8 @@ sequences here come with a certified bound on that distance.
 Summation is plain left-to-right double precision accumulation.  That is a
 deliberate choice: identical inputs must produce bit-identical sums across
 every code path (tables, closed forms, file round trips), which compensated
-or pairwise schemes would break.
+or pairwise schemes would break.  Each parameter is stored as a float,
+so terms and sums are float64 whatever numeric type the caller passed.
 
 A process keeps rows 1..2**14 of each family's running sums once some call
 has summed them, for the 32 families used last (4 MiB at most), keyed by
@@ -76,9 +77,8 @@ def _geometric(alpha: float, ns: np.ndarray) -> np.ndarray:
     if ns.max(initial=0) < horizon:
         return np.power(alpha, ns)
     live = ns < horizon
-    values = np.power(alpha, ns[live])
-    out = np.zeros(ns.shape, dtype=values.dtype)
-    out[live] = values
+    out = np.zeros(ns.shape)
+    out[live] = np.power(alpha, ns[live])
     if alpha < 0.0:
         dead = ~live
         out[dead] = 0.0 * _parity_signs(ns[dead])
@@ -124,11 +124,9 @@ class Generalized:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
-            check_real(name, getattr(self, name))
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if abs(self.alpha) >= 1.0:
-            raise ValueError(
-                f"|alpha| must be < 1 for the geometric part to decay, got {self.alpha!r}"
-            )
+            raise ValueError(f"|alpha| must be < 1 for the geometric part to decay, got {self.alpha!r}")
         if self.gamma < 1.0:
             raise ValueError(f"gamma must be >= 1, got {self.gamma!r}")
 
@@ -145,7 +143,8 @@ class ExpPoly:
     p: float = 1.0
 
     def __post_init__(self) -> None:
-        if check_real("p", self.p) < 1.0:
+        object.__setattr__(self, "p", check_real("p", self.p))
+        if self.p < 1.0:
             raise ValueError(f"p must be >= 1, got {self.p!r}")
 
     def coefficients(self, ns: np.ndarray) -> np.ndarray:
@@ -265,14 +264,10 @@ def _kept_head(key: tuple) -> _Head:
 
 
 def _head(family: CoefficientFamily) -> _Head:
-    """The family's kept head.
+    """The family's kept head, keyed by its class and each parameter's repr.
 
-    The key is the family's class and the repr of each parameter, which
-    spells its value and, for a numpy scalar, its type exactly: ``beta =
-    -0.0`` and ``0.0`` are two keys, as are ``1`` and ``1.0``, and
-    ``np.longdouble("0.3")``, whose terms are long doubles, is kept apart
-    from ``0.3``.  ``Generalized(0.5, 1, 1)`` is kept apart from
-    ``Canonical``.
+    repr spells a float exactly, so ``beta = -0.0`` and ``0.0`` are two
+    keys; ``Generalized(0.5, 1.0, 1.0)`` is kept apart from ``Canonical``.
     """
     return _kept_head((type(family), *map(repr, vars(family).values())))
 
@@ -347,7 +342,7 @@ def partial_sums(family: CoefficientFamily, n_max: int) -> np.ndarray:
         TypeError: ``n_max`` is not an integer.
     """
     n_max = _check_row_count("n_max", check_int("n_max", n_max, 1))
-    if n_max <= _CHUNK_ROWS:  # one chunk, a view of the head: copied in its terms' dtype
+    if n_max <= _CHUNK_ROWS:  # one chunk, a read-only view of the head
         (sums,) = _running_sums(family, n_max)
         return sums.copy()
     out = np.empty(n_max)

@@ -51,7 +51,7 @@ class EncoderConfig:
 
     def __post_init__(self) -> None:
         _check_family(self.family)
-        check_positive("delta", self.delta)
+        object.__setattr__(self, "delta", check_positive("delta", self.delta))
         if self.transition is not None and not isinstance(self.transition, TransitionFunction):
             raise TypeError(f"transition must be a Sigmoid, Smoothstep or Heaviside, got {self.transition!r}")
 
@@ -92,7 +92,7 @@ def term_weights(config: EncoderConfig, n_value: float) -> tuple[np.ndarray, np.
     n_value = check_nonnegative("n_value", n_value)
     if config.transition is not None:
         ns = np.arange(1, smooth_cutoff(config, n_value) + 1)
-        return ns, np.asarray(config.transition(ns - n_value), dtype=float)
+        return ns, config.transition(ns - n_value)
     k = math.floor(n_value)
     frac = n_value - k
     rows = _check_row_count("rows", k if frac == 0.0 else k + 1)

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._validate import check_int, check_nonnegative, check_positive, check_real
 from .bumps import Sigmoid
-from .coefficients import CoefficientFamily, _check_row_count, coefficient, partial_sum, partial_sums
+from .coefficients import CoefficientFamily, _check_family, _check_row_count, coefficient, partial_sum, partial_sums
 from .encoder import EncoderConfig, _accumulate, smooth_cutoff
 
 __all__ = [
@@ -87,6 +87,10 @@ class IntegralTable:
     supports_binary: bool = field(init=False)
 
     def __post_init__(self) -> None:
+        if self.delta is not None:
+            object.__setattr__(self, "delta", check_positive("delta", self.delta))
+        if self.family is not None:
+            _check_family(self.family)
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.size == 0:
@@ -167,7 +171,7 @@ def _smooth_integrals(config: EncoderConfig, xs: list[float]) -> list[float]:
     coeffs = config.family.coefficients(ns)
     scale = area_scale(config.delta)
     return [
-        scale * float(np.dot(np.asarray(config.transition(ns[:cutoff] - x), dtype=float), coeffs[:cutoff]))
+        scale * float(np.dot(config.transition(ns[:cutoff] - x), coeffs[:cutoff]))
         for x, cutoff in zip(xs, cutoffs)
     ]
 

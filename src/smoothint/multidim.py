@@ -58,7 +58,7 @@ class MultiEncoderConfig:
             raise ValueError("need at least one axis")
         for family in families:
             _check_family(family)
-        check_positive("delta", self.delta)
+        object.__setattr__(self, "delta", check_positive("delta", self.delta))
 
     @property
     def dimension(self) -> int:

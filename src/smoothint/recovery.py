@@ -271,11 +271,11 @@ def recover_analytic_fractional(
 
     Raises:
         TypeError: ``segment`` is not an integer, or a real is not a number.
-        ValueError: ``segment`` < 0, a target non-finite or outside the segment's
-            range, or a slope coefficient of exactly zero (no inverse exists).
+        ValueError: ``segment`` < 0 or > ``MAX_ROWS``, a target non-finite or
+            outside the segment's range, or a zero slope coefficient (no inverse).
     """
     target = check_real("target", target)
-    k = check_int("segment", segment, 0)
+    k = _check_row_count("segment", check_int("segment", segment, 0))
     scale = area_scale(config.delta)
     slope_coeff = coefficient(config.family, k + 1)
     if slope_coeff == 0.0:

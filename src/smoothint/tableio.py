@@ -58,8 +58,7 @@ def family_descriptor(family: CoefficientFamily) -> dict:
     kind = next((kind for kind, cls in FAMILIES.items() if isinstance(family, cls)), None)
     if kind is None:
         raise TypeError(f"unknown coefficient family {type(family).__name__}")
-    params = dataclasses.fields(FAMILIES[kind])
-    return {"kind": kind, **{f.name: float(getattr(family, f.name)) for f in params}}
+    return {"kind": kind, **vars(family)}
 
 
 def family_from_descriptor(descriptor: dict) -> CoefficientFamily:
@@ -79,7 +78,7 @@ def family_from_descriptor(descriptor: dict) -> CoefficientFamily:
     missing = [f.name for f in dataclasses.fields(cls) if f.name not in descriptor]
     if missing:
         raise ValueError(f"{kind} family descriptor lacks parameter {missing[0]!r}")
-    return cls(**{f.name: check_real(f.name, descriptor[f.name]) for f in dataclasses.fields(cls)})
+    return cls(**{f.name: descriptor[f.name] for f in dataclasses.fields(cls)})
 
 
 def _check_row_numbers(ns: np.ndarray, path) -> None:
@@ -117,7 +116,7 @@ def save_table_json(table: IntegralTable, path) -> None:
     if table.family is None or table.delta is None:
         raise ValueError("table has no family/width metadata; save it as CSV instead")
     meta = {
-        "delta": float(table.delta),
+        "delta": table.delta,
         "family": family_descriptor(table.family),
         "n_max": table.n_max,
         "format_version": FORMAT_VERSION,

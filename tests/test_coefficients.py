@@ -30,6 +30,7 @@ from smoothint import (
     map_derivative_smooth,
     partial_sum,
     partial_sums,
+    recover_analytic_fractional,
     recover_multi,
     tail_bound,
     term_weights,
@@ -249,10 +250,10 @@ def test_partial_sum_holds_one_chunk():
 
 # rows at which a head's chunks, the head itself and a 30000-row call end
 HEAD_EDGES = [1, 255, 256, 257, 16383, 16384, 16385, 3 * 10**4]
-# families whose heads must be kept apart: signed zeros give different
-# bits, an int parameter and the equal float are two keys with the same
-# bits, Canonical and Trig have no parameters, and Generalized(0.5, 1, 1)
-# has Canonical's bits
+# families whose heads must be kept apart, or shared: signed zeros give
+# different bits, an int parameter is stored as the equal float and so
+# shares its key, Canonical and Trig have no parameters, and
+# Generalized(0.5, 1, 1) has Canonical's bits
 KEY_NEIGHBOURS = [
     Generalized(-0.0, 0.0, 1.0),
     Generalized(-0.0, -0.0, 1.0),
@@ -352,23 +353,62 @@ def test_heads_shared_by_threads_keep_their_bits(monkeypatch):
     assert wrong == []
 
 
-@pytest.mark.parametrize("n", [1, 255, 256, 257, 16383, 16384])
-def test_a_longdouble_parameter_keeps_its_precision(n):
-    # rounded to a double, the wide alpha equals the narrow one, but
-    # np.power evaluates it in long double; a head keyed by doubles would
-    # hand one family the other's rows
-    wide = Generalized(np.longdouble("0.3"), 1.0, 1.0)
-    narrow = Generalized(0.3, 1.0, 1.0)
-    references = {family: np.cumsum(family.coefficients(np.arange(1, n + 1))) for family in (wide, narrow)}
-    assert not np.array_equal(references[wide], references[narrow])
+def _longdouble(value):
+    """``value`` moved by 2**-60 of itself in long double, which ``float`` rounds back."""
+    return np.longdouble(value) * (1 + np.longdouble(2.0) ** -60)
+
+
+# numeric types a caller may pass a family parameter as
+NUMERIC_TYPES = [math.trunc, np.float32, np.float64, _longdouble]
+# PARAMETERS, with alpha kept off +-1 so that float32 cannot round it there
+NARROW_PARAMETERS = {**PARAMETERS, "alpha": st.floats(min_value=-0.99, max_value=0.99)}
+
+
+@st.composite
+def numeric_parameters(draw):
+    """A family class with parameters, each of a type drawn from ``NUMERIC_TYPES``."""
+    cls = draw(st.sampled_from([Generalized, ExpPoly]))
+    fields = dataclasses.fields(cls)
+    return cls, {f.name: draw(st.sampled_from(NUMERIC_TYPES))(draw(NARROW_PARAMETERS[f.name])) for f in fields}
+
+
+@given(numeric_parameters(), st.integers(min_value=1, max_value=2 * 10**5))
+@example(params=(Generalized, {"alpha": _longdouble(0.3), "beta": 1, "gamma": 1}), n=2**14)
+@example(params=(Generalized, {"alpha": _longdouble(0.3), "beta": 1, "gamma": 1}), n=87656)
+@example(params=(Generalized, {"alpha": np.float32(0.3), "beta": np.float32(2), "gamma": 1.5}), n=2**14 + 1)
+@example(params=(ExpPoly, {"p": _longdouble(2.0)}), n=2 * 10**5)
+def test_a_parameter_of_any_numeric_type_gives_the_sums_of_its_float(params, n):
+    cls, values = params
+    family = cls(**values)
+    plain = cls(**{name: float(value) for name, value in values.items()})
+    assert family == plain
+    reference = np.cumsum(plain.coefficients(np.arange(1, n + 1)))
+    coefficients._kept_head.cache_clear()
     try:
-        for first, second in ((wide, narrow), (narrow, wide)):
-            coefficients._kept_head.cache_clear()
-            for family in (first, second, first):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):  # cold, then warm
                 sums = partial_sums(family, n)
-                assert sums.dtype == references[family].dtype
-                assert np.array_equal(sums, references[family])
-                assert partial_sum(family, n) == float(references[family][-1])
+                assert sums.dtype == np.float64
+                assert np.array_equal(_bits(sums), _bits(reference))
+    finally:
+        coefficients._kept_head.cache_clear()
+
+
+def test_equal_parameters_of_any_numeric_type_share_one_head():
+    coefficients._kept_head.cache_clear()
+    try:
+        spellings = [
+            Generalized(0.5, 1, 1),
+            Generalized(np.float32(0.5), 1.0, np.int64(1)),
+            Generalized(0.5, 1.0, 1.0),
+            ExpPoly(2),
+            ExpPoly(np.float32(2)),
+            ExpPoly(2.0),
+        ]
+        for family in spellings:
+            partial_sum(family, 10)
+        assert coefficients._kept_head.cache_info().currsize == 2
     finally:
         coefficients._kept_head.cache_clear()
 
@@ -515,6 +555,7 @@ TOO_MANY = [
     ),
     (lambda: counter_grid(CANONICAL, 3, 0.0, 5.0, 10**9), "points = 1000000000 "),
     (lambda: integral_quadrature(CANONICAL, 3, -1.0, 5.0, 10**9), "points = 1000000000 "),
+    (lambda: recover_analytic_fractional(CANONICAL, 0.0, 10**9), "segment = 1000000000 "),
 ]
 
 

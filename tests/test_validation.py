@@ -20,6 +20,7 @@ from smoothint import (
     EncoderConfig,
     ExpPoly,
     Generalized,
+    IntegralTable,
     MultiEncoderConfig,
     Sigmoid,
     Smoothstep,
@@ -126,6 +127,9 @@ REALS = {
     ),
     "isotropic-delta": (
         lambda v: MultiEncoderConfig.isotropic(Canonical(), 2, delta=v), 0.2, "delta", [-0.2]
+    ),
+    "IntegralTable-delta": (
+        lambda v: IntegralTable(delta=v, family=Canonical(), values=TABLE.values), 0.2, "delta", [0.0, -1.0]
     ),
     "area_scale-delta": (lambda v: area_scale(v), 0.2, "delta", [0.0, -1.0]),
     "term_weights-n_value": (lambda v: term_weights(CONFIG, v), 2.5, "n_value", [-1.0]),
@@ -241,6 +245,28 @@ REALS = {
     ),
 }
 
+# rows of REALS whose call constructs an object that keeps the argument
+# under the name its messages give it
+STORED_REALS = [
+    "Sigmoid-sharpness",
+    "Smoothstep-halfwidth",
+    "Generalized-alpha",
+    "Generalized-beta",
+    "Generalized-gamma",
+    "ExpPoly-p",
+    "EncoderConfig-delta",
+    "MultiEncoderConfig-delta",
+    "isotropic-delta",
+    "IntegralTable-delta",
+    "family_from_descriptor-p",
+    "family_from_descriptor-alpha",
+    "family_from_descriptor-beta",
+    "family_from_descriptor-gamma",
+]
+
+# rows of REALS that take None as a value: a table without a width
+TAKES_NONE = {"IntegralTable-delta"}
+
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
@@ -249,6 +275,7 @@ def _rows(table, values):
         pytest.param(call, name, value, id=f"{key}-{value!r}")
         for key, (call, valid, name, out_of_range) in table.items()
         for value in values(valid, out_of_range)
+        if not (value is None and key in TAKES_NONE)
     ]
 
 
@@ -298,6 +325,16 @@ def test_real_argument_accepts_python_and_numpy_reals_and_integers(call, name, v
     call(value)
 
 
+@pytest.mark.parametrize(
+    "call, name, value",
+    _rows({key: REALS[key] for key in STORED_REALS}, lambda valid, low: _reals_of(valid) + [np.longdouble(valid)]),
+)
+def test_a_stored_real_is_the_float_its_check_returns(call, name, value):
+    stored = getattr(call(value), name)
+    assert type(stored) is float
+    assert stored == float(value)
+
+
 # integral_multi takes integer arrays as well as integers, so its message
 # names the components rather than one argument
 @pytest.mark.parametrize("axis", [0, 1])
@@ -340,6 +377,41 @@ FAMILY_TAKERS = {
 def test_family_of_a_wrong_type_is_a_type_error(make, family):
     with pytest.raises(TypeError, match="^family must be a CoefficientFamily"):
         make(family)
+
+
+@pytest.mark.parametrize("family", ["canonical", Canonical, 0.5], ids=["str", "class", "float"])
+def test_table_family_of_a_wrong_type_is_a_type_error(family):
+    with pytest.raises(TypeError, match="^family must be a CoefficientFamily"):
+        IntegralTable(delta=0.2, family=family, values=TABLE.values)
+
+
+# np.float32(0.2) is 0.20000000298023224 as a float
+WIDTH32 = np.float32(0.2)
+
+
+def test_a_float32_width_gives_the_bits_of_its_float():
+    narrow, plain = (EncoderConfig(family=Canonical(), delta=delta) for delta in (WIDTH32, float(WIDTH32)))
+    for a, b in zip(counter_grid(narrow, 2.5, 0.0, 3.0, 301), counter_grid(plain, 2.5, 0.0, 3.0, 301)):
+        assert a.dtype == b.dtype == np.float64
+        assert np.array_equal(a, b)
+    assert integral_quadrature(narrow, 2.5, -2.0, 5.0, 2000) == integral_quadrature(plain, 2.5, -2.0, 5.0, 2000)
+    multi_narrow, multi_plain = (
+        MultiEncoderConfig.isotropic(Canonical(), 2, delta=delta) for delta in (WIDTH32, float(WIDTH32))
+    )
+    assert integral_multi(multi_narrow, (5, 7)) == integral_multi(multi_plain, (5, 7))
+    axes = (np.arange(1, 7), np.arange(1, 7))
+    grid_narrow = integral_multi(multi_narrow, axes)
+    assert grid_narrow.dtype == np.float64
+    assert np.array_equal(grid_narrow, integral_multi(multi_plain, axes))
+
+
+def test_a_float32_sharpness_gives_the_cutoffs_of_its_float():
+    narrow, plain = (
+        EncoderConfig(family=Canonical(), transition=Sigmoid(sharpness))
+        for sharpness in (np.float32(10), 10.0)
+    )
+    for n_value in np.linspace(9_999_000.0, 9_999_990.0, 2001).tolist():
+        assert smooth_cutoff(narrow, n_value) == smooth_cutoff(plain, n_value)
 
 
 def test_same_results_from_numpy_scalars():
