@@ -116,7 +116,7 @@ def _range_pair(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}")
     lo, hi = (float(part) for part in parts)
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
+    if not (lo < hi and math.isfinite(hi - lo)):  # inf and nan ends have no finite width
         raise argparse.ArgumentTypeError(f"expected finite lo < hi, got {text!r}")
     return lo, hi
 

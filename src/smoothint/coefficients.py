@@ -12,17 +12,14 @@ every code path (tables, closed forms, file round trips), which compensated
 or pairwise schemes would break.  Each parameter is stored as a float,
 so terms and sums are float64 whatever numeric type the caller passed.
 
-A process keeps rows 1..2**14 of each family's running sums once some call
-has summed them, for the 32 families used last (4 MiB at most), keyed by
-the family's class and the repr of each parameter (see ``_head``).  A warm
+The sums run in chunks of 2**14 rows.  A process keeps the first chunk,
+rows 1..2**14, of the 32 families used last (4 MiB at most), keyed by the
+family's class and the repr of each parameter (see ``_head``): one buffer
+per family, filled in place only as far as some call has asked.  A warm
 call copies the kept rows and evaluates only those past them.  A cold call,
 the first for a family in a process or after 32 other families, sums what
-it always did and keeps the rows, which costs more than keeping none:
-about 4 us of lookup and copying per call, and up to 1.3x past 2**14 rows,
-where glibc's malloc hands the later chunks' temporaries pages it must
-fault in again (1.0x with its trim and mmap thresholds raised; 2-vCPU
-host).  Rows are kept only as far as some call asked for them, and
-callers always get their own arrays.
+it always did, about 4 us slower than keeping no rows below 2**14 rows
+(see ``partial_sums``).  Callers always get their own arrays.
 """
 
 from __future__ import annotations
@@ -204,14 +201,11 @@ def _check_row_count(name: str, count: int) -> int:
 
 
 # Rows one chunk of a running sum evaluates and sums at once: its terms and
-# temporaries (128 KiB each) stay in cache, and no caller holds more.
+# temporaries (128 KiB each) stay in cache, and no caller holds more.  The
+# first chunk, rows 1.._CHUNK_ROWS, is kept for the _HEAD_FAMILIES families
+# used last: at most 32 buffers of 128 KiB, 4 MiB in all.  A decode that
+# reuses a family re-reads its first rows on every call.
 _CHUNK_ROWS = 1 << 14
-
-# Rows 1.._HEAD_ROWS of a family's running sums are kept once some call has
-# summed them, for the _HEAD_FAMILIES families used last: at most 32 arrays
-# of 2**14 rows, 4 MiB in float64.  A decode that reuses a family re-reads
-# its first rows on every call.
-_HEAD_ROWS = 1 << 14
 _HEAD_FAMILIES = 32
 
 
@@ -230,31 +224,30 @@ def _sum_rows(family: CoefficientFamily, low: int, stop: int, carried, out=None)
 
 
 class _Head:
-    """A family's running sums S(1)..S(filled) as one read-only array."""
+    """A family's first chunk, S(1)..S(_CHUNK_ROWS), in one buffer filled in place."""
 
     def __init__(self) -> None:
-        self.rows = np.empty(0)
+        self.rows = np.empty(_CHUNK_ROWS)
+        self.view = self.rows.view()  # what readers get
+        self.view.flags.writeable = False
         self.filled = 0
         self.lock = threading.Lock()  # one fill at a time
 
     def sums(self, family: CoefficientFamily, start: int, stop: int) -> np.ndarray:
-        """Read-only S(start)..S(stop), stop <= ``_HEAD_ROWS``.
+        """Read-only S(start)..S(stop), stop <= ``_CHUNK_ROWS``.
 
         Only the rows past those already filled are evaluated, and none
-        past ``stop``.  The first fill keeps the array it sums; a later one
-        joins the kept rows and its own into a new array.
+        past ``stop``.  A fill writes rows no reader has been given, and
+        counts them as filled once they are written.
         """
         if self.filled < stop:
             with self.lock:
                 filled = self.filled
                 if filled < stop:
-                    carried = self.rows[-1] if filled else None
-                    rows = _sum_rows(family, filled + 1, stop, carried)
-                    if filled:
-                        rows = np.concatenate((self.rows, rows))
-                    rows.flags.writeable = False
-                    self.rows, self.filled = rows, stop  # rows first: a reader checks filled
-        return self.rows[start - 1 : stop]
+                    carried = self.rows[filled - 1] if filled else None
+                    _sum_rows(family, filled + 1, stop, carried, self.rows[filled:stop])
+                    self.filled = stop
+        return self.view[start - 1 : stop]
 
 
 @functools.lru_cache(maxsize=_HEAD_FAMILIES)
@@ -278,35 +271,29 @@ def _running_sums(
     """Yield S(1), ..., S(n) as consecutive chunks of running sums.
 
     The first chunk holds ``first`` rows (default ``_CHUNK_ROWS``); each
-    later one doubles, up to ``_CHUNK_ROWS``.  Each chunk is summed by
-    :func:`_sum_rows` with the running total carried into it, so every row
-    has the bits of one ``np.cumsum`` over all n terms.
-
-    Rows 1..``_HEAD_ROWS`` come from the family's head (:func:`_head`)
-    as read-only views, so a cold call evaluates the rows and chunks it
-    always did and a warm one evaluates none of them; a chunk that crosses
-    row ``_HEAD_ROWS`` is yielded as its two parts.  With ``out``, each
-    chunk is copied or summed into its rows of ``out`` and the chunk
-    yielded is that view.
+    later one doubles, up to ``_CHUNK_ROWS``, and one that starts inside
+    the first ``_CHUNK_ROWS`` rows ends at row ``_CHUNK_ROWS`` at most.
+    Those rows are read-only views of the family's head (:func:`_head`);
+    each later chunk is summed by :func:`_sum_rows` with the running total
+    carried into it, so every row has the bits of one ``np.cumsum`` over
+    all n terms.  With ``out``, each chunk is copied or summed into its
+    rows of ``out`` and the chunk yielded is that view.
     """
     size = _CHUNK_ROWS if first is None else min(first, _CHUNK_ROWS)
     head = _head(family)
     start = 1
     while start <= n:
         stop = min(n, start + size - 1)
-        if start <= _HEAD_ROWS:
-            top = min(stop, _HEAD_ROWS)
-            sums = head.sums(family, start, top)
+        if start <= _CHUNK_ROWS:
+            stop = min(stop, _CHUNK_ROWS)
+            sums = head.sums(family, start, stop)
             if out is not None:
-                out[start - 1 : top] = sums
-                sums = out[start - 1 : top]
-            yield sums
-            carried = sums[-1]
-        if stop > _HEAD_ROWS:
-            low = max(start, _HEAD_ROWS + 1)
-            sums = _sum_rows(family, low, stop, carried, None if out is None else out[low - 1 : stop])
-            yield sums
-            carried = sums[-1]
+                out[start - 1 : stop] = sums
+                sums = out[start - 1 : stop]
+        else:
+            sums = _sum_rows(family, start, stop, carried, None if out is None else out[start - 1 : stop])
+        yield sums
+        carried = sums[-1]
         start, size = stop + 1, min(2 * size, _CHUNK_ROWS)
 
 
@@ -327,24 +314,23 @@ def partial_sums(family: CoefficientFamily, n_max: int) -> np.ndarray:
     traced, about one result's size, against 23.8 MiB (best of 7-15 runs on
     a 2-vCPU host, numpy 2.4.6).
 
-    A cold call evaluates and sums every row as above and keeps rows
-    1..min(n_max, 2**14) (see the module docstring).  A warm call copies
-    those rows from the family's kept head and evaluates only the rows past
-    them.  For ``Generalized(0.3, 1.0, 1.5)``, against the same code with
-    no rows kept (medians of 401 interleaved calls, 2-vCPU host, numpy
-    2.4.6): 200 rows take 4.2 us warm and 24 us cold against 17 us; 10**4
-    rows 6.6 us warm and 178 us cold against 170 us; 3*10**4 rows 290 us
-    warm and 710 us cold against 550 us.  The result is always the
-    caller's own array.
+    A cold call evaluates and sums every row as above, rows
+    1..min(n_max, 2**14) into the family's kept first chunk (see the module
+    docstring).  A warm call copies those rows from there and evaluates only
+    the rows past them.  For ``Generalized(0.3, 1.0, 1.5)``, against the
+    same code with no rows kept (medians of 401 interleaved calls in each of
+    two processes, 2-vCPU host, numpy 2.4.6): 200 rows take 2.6 us warm and
+    19 us cold against 15 us; 10**4 rows 5.1-5.4 us warm and 180-220 us
+    cold against 170-250 us; 3*10**4 rows 270-340 us warm and 740-830 us
+    cold against 670-760 us.  The result is always the caller's own array.
 
     Raises:
         ValueError: ``n_max`` < 1, or more than ``MAX_ROWS`` rows.
         TypeError: ``n_max`` is not an integer.
     """
     n_max = _check_row_count("n_max", check_int("n_max", n_max, 1))
-    if n_max <= _CHUNK_ROWS:  # one chunk, a read-only view of the head
-        (sums,) = _running_sums(family, n_max)
-        return sums.copy()
+    if n_max <= _CHUNK_ROWS:
+        return _head(family).sums(family, 1, n_max).copy()
     out = np.empty(n_max)
     for _ in _running_sums(family, n_max, out):
         pass
@@ -356,8 +342,8 @@ def partial_sum(family: CoefficientFamily, n: int) -> float:
 
     Only the running total is kept: the sums run chunk by chunk, as in
     :func:`partial_sums`, and no n-row array is held.  A cold call keeps
-    rows 1..min(n, 2**14) in the family's head; a warm call reads them
-    from there and sums only the rows past them.
+    rows 1..min(n, 2**14) in the family's first chunk; a warm call reads
+    them from there and sums only the rows past them.
 
     Args:
         family: coefficient family to sum.

@@ -138,6 +138,16 @@ def counter_eval(config: EncoderConfig, n_value: float, t: float) -> float:
     return float(_accumulate(config, n_value, np.array([t]))[0])
 
 
+def _check_range(t_min, t_max) -> tuple[float, float]:
+    """``(t_min, t_max)`` as floats, t_min < t_max, with a finite width."""
+    t_min, t_max = check_real("t_min", t_min), check_real("t_max", t_max)
+    if t_min >= t_max:
+        raise ValueError(f"need t_min < t_max, got [{t_min!r}, {t_max!r}]")
+    if t_max - t_min == math.inf:  # linspace would sample inf and nan
+        raise ValueError(f"the width of [{t_min!r}, {t_max!r}] exceeds the largest float")
+    return t_min, t_max
+
+
 def counter_grid(
     config: EncoderConfig,
     n_value: float,
@@ -159,10 +169,8 @@ def counter_grid(
 
     Raises:
         TypeError: ``points`` is not an integer, or a real is not a number.
-        ValueError: a non-finite real, t_min >= t_max, or ``points`` outside 2..``MAX_ROWS``.
+        ValueError: a non-finite real or range width, t_min >= t_max, or ``points`` outside 2..``MAX_ROWS``.
     """
-    t_min, t_max = check_real("t_min", t_min), check_real("t_max", t_max)
-    if t_min >= t_max:
-        raise ValueError(f"need t_min < t_max, got [{t_min!r}, {t_max!r}]")
+    t_min, t_max = _check_range(t_min, t_max)
     ts = np.linspace(t_min, t_max, _check_row_count("points", check_int("points", points, 2)))
     return ts, _accumulate(config, n_value, ts)

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._validate import check_int, check_nonnegative, check_positive, check_real
+from ._validate import check_int, check_nonnegative, check_positive
 from .bumps import Sigmoid
 from .coefficients import CoefficientFamily, _check_family, _check_row_count, coefficient, partial_sum, partial_sums
-from .encoder import EncoderConfig, _accumulate, smooth_cutoff
+from .encoder import EncoderConfig, _accumulate, _check_range, smooth_cutoff
 
 __all__ = [
     "IntegralTable",
@@ -213,12 +213,11 @@ def integral_quadrature(
 
     Raises:
         TypeError: ``points`` is not an integer, or a real is not a number.
-        ValueError: a non-finite real, t_min >= t_max, too few or too many ``points``, or a truncated domain.
+        ValueError: a non-finite real or range width, t_min >= t_max, too few or too
+            many ``points``, or a truncated domain.
     """
     n_value = check_nonnegative("n_value", n_value)
-    t_min, t_max = check_real("t_min", t_min), check_real("t_max", t_max)
-    if t_min >= t_max:
-        raise ValueError(f"need t_min < t_max, got [{t_min!r}, {t_max!r}]")
+    t_min, t_max = _check_range(t_min, t_max)
     points = _check_row_count("points", check_int("points", points, 2))
     if points < _MIN_POINTS_PER_UNIT * (t_max - t_min):
         raise ValueError(

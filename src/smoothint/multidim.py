@@ -208,8 +208,9 @@ def coordinatewise_recover(
     that double in size, up to 16384 rows, and stops at its first match, so
     a hit at row n costs O(n) and a miss the whole axis; one chunk is held
     at a time.  A cold axis evaluates the coefficients of every row it
-    scans; a warm one reads rows 1..2**14 from its family's kept head (see
-    :mod:`smoothint.coefficients`) and evaluates only the rows past them.
+    scans; a warm one reads rows 1..2**14 from its family's kept first
+    chunk (see :mod:`smoothint.coefficients`) and evaluates only the rows
+    past them.
 
     Raises:
         ValueError: number of targets differs from the number of axes, a
@@ -242,8 +243,8 @@ def _first_match(
     ``_FIRST_CHUNK_ROWS`` rows and each later one twice as long, up to that
     kernel's cap, so every value is the one ``scale * partial_sums(family,
     limit)`` holds, bit for bit.  Rows 1..2**14 are read-only views of the
-    family's kept head, filled only as far as this scan or an earlier call
-    reached.
+    family's kept first chunk, filled only as far as this scan or an
+    earlier call reached, and the chunk that reaches row 2**14 ends there.
     """
     start = 1
     for sums in _running_sums(family, limit, first=_FIRST_CHUNK_ROWS):

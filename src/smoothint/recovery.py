@@ -225,7 +225,7 @@ def recover_spline(
         raise ValueError(f"spline recovery needs at least 3 rows, got {table.n_max}")
     gap = table.values - target
     knot_hits = np.flatnonzero(np.abs(gap) <= tol)
-    brackets = np.flatnonzero(gap[:-1] * gap[1:] < 0.0)
+    brackets = np.flatnonzero(np.sign(gap[:-1]) * np.sign(gap[1:]) < 0.0)  # a product of gaps can underflow
     if knot_hits.size == 0 and brackets.size == 0:
         return None
     spline = spline_fit(table.values)
@@ -331,13 +331,16 @@ def noise_sweep(
     Raises:
         TypeError: ``true_n``, ``trials`` or ``seed`` is not an integer, or a real is not a number.
         ValueError: ``true_n`` off the table, ``trials`` < 1 or over ``MAX_ROWS``,
-            ``seed`` < 0, or a bad real.
+            ``seed`` < 0, an amplitude over half the largest float, or a bad real.
     """
     epsilon = check_positive("epsilon", epsilon)
     true_value = table.value_at(true_n)
     trials = _check_row_count("trials", check_int("trials", trials, 1))
     seed = check_int("seed", seed, 0)
     amplitudes = [check_nonnegative("noise amplitude", a) for a in amplitudes]
+    for amplitude in amplitudes:
+        if 2.0 * amplitude == np.inf:  # the draws' width, 2A, must be a float
+            raise ValueError(f"noise amplitude must be at most half the largest float, got {amplitude!r}")
     earlier = np.sort(table.values[: true_n - 1])
     rng = np.random.default_rng(seed)
     results = []

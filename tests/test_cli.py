@@ -421,6 +421,11 @@ REFUSALS = [
     (["plot-data", "--what", "smooth", "--range", "1:2:3"], "error: argument --range: expected lo:hi, got '1:2:3'\n"),
     (["plot-data", "--what", "smooth", "--range", "2:1"],
      "error: argument --range: expected finite lo < hi, got '2:1'\n"),
+    *(
+        (["plot-data", "--what", what, "--n", "3", "--range", "-1e308:1e308", "--points", "5"],
+         "error: argument --range: expected finite lo < hi, got '-1e308:1e308'\n")
+        for what in ("counter", "smooth")
+    ),
     (["plot-data", "--what", "imap"], "error: --n is required for --what imap\n"),
     (["plot-data", "--what", "partials"], "error: --n is required for --what partials\n"),
     (["plot-data", "--what", "partials", "--n", "2.5"], "error: --n must be a positive integer here\n"),
@@ -499,6 +504,18 @@ def test_sweep_refuses_trials_over_the_cap(capsys, tmp_path, table_path):
     assert code == 2
     assert out == ""
     assert "error: trials = 10000000000000 exceeds the limit of 10000000\n" == err
+    assert not path.exists()
+
+
+def test_sweep_refuses_an_amplitude_whose_width_overflows(capsys, tmp_path, table_path):
+    path = tmp_path / "sweep.csv"
+    code, out, err = run(
+        capsys, "sweep", "--table", str(table_path), "--true-n", "8", "--epsilon", "0.005",
+        "--amplitudes", "0.001,1e308", "--out", str(path),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: noise amplitude must be at most half the largest float, got 1e+308\n"
     assert not path.exists()
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import inspect
 import math
 import random
 import sys
@@ -427,6 +428,27 @@ def test_heads_evaluate_no_row_the_caller_did_not_ask_for():
             partial_sums(family, 40)
     finally:
         coefficients._kept_head.cache_clear()
+
+
+def test_a_head_fills_one_buffer_in_place(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("arrays were joined")
+
+    monkeypatch.setattr(np, "concatenate", fail)
+    family = Generalized(0.3, 1.0, 1.5)
+    coefficients._kept_head.cache_clear()
+    try:
+        head = coefficients._head(family)
+        buffer = head.rows
+        for n in HEAD_EDGES:
+            reference = np.cumsum(family.coefficients(np.arange(1, n + 1)))
+            assert np.array_equal(_bits(partial_sums(family, n)), _bits(reference))
+            assert coefficients._head(family).rows is buffer
+        assert head.filled == coefficients._CHUNK_ROWS
+        assert not head.sums(family, 1, 1).flags.writeable
+    finally:
+        coefficients._kept_head.cache_clear()
+    assert "concatenate" not in inspect.getsource(coefficients)
 
 
 def test_partial_sum_values():

@@ -165,6 +165,9 @@ def test_grid_validation(canonical_config):
         counter_grid(canonical_config, 3, 2.0, 1.0, 100)
     with pytest.raises(ValueError):
         counter_grid(canonical_config, 3, 0.0, 1.0, 1)
+    # a width that overflows, where linspace would sample [nan, inf, inf, inf, 1e308]
+    with pytest.raises(ValueError, match=r"^the width of \[-1e\+308, 1e\+308\] exceeds the largest float$"):
+        counter_grid(canonical_config, 3.0, -1e308, 1e308, 5)
 
 
 @pytest.mark.parametrize("kind", list(FAMILY_SAMPLES))

@@ -244,6 +244,8 @@ def test_quadrature_rejects_sparse_grid(canonical_config):
 def test_quadrature_rejects_bad_limits(canonical_config):
     with pytest.raises(ValueError):
         integral_quadrature(canonical_config, 5, 8.0, 0.0, 2000)
+    with pytest.raises(ValueError, match="exceeds the largest float"):
+        integral_quadrature(canonical_config, 5, -1e308, 1e308, 2000)
 
 
 def test_map_derivative_matches_finite_difference():

@@ -351,10 +351,11 @@ def test_coordinatewise_chunks_stop_doubling_at_the_cap(monkeypatch, canonical_r
     monkeypatch.setattr(coefficients, "_CHUNK_ROWS", 1000)
     config = MultiEncoderConfig.isotropic(Canonical(), 1)
     assert coordinatewise_recover(config, (10.0,), 1e-3, 5000) is None
-    assert canonical_rows_evaluated == [256, 512, 1000, 1000, 1000, 1000, 232]
+    # the third chunk ends with the head, at row 1000
+    assert canonical_rows_evaluated == [256, 512, 232, 1000, 1000, 1000, 1000]
     values = build_table(EncoderConfig(family=Canonical(), delta=0.2), 5000).values
-    # rows 1768 and 1769 end one chunk and start the next
-    for row in (1768, 1769, 4999):
+    # rows 1000 and 1001 end the head and start the next chunk
+    for row in (768, 769, 1000, 1001, 4999):
         assert coordinatewise_recover(config, (float(values[row - 1]),), 1e-15, 5000) == (row,)
 
 
@@ -372,7 +373,7 @@ def test_coordinatewise_miss_holds_one_chunk(canonical_rows_evaluated):
     canonical_rows_evaluated.clear()
     # warm: only the rows past the family's head are evaluated
     assert coordinatewise_recover(config, (10.0,), 1e-3, 2 * 10**6) is None
-    assert sum(canonical_rows_evaluated) == 2 * 10**6 - coefficients._HEAD_ROWS
+    assert sum(canonical_rows_evaluated) == 2 * 10**6 - coefficients._CHUNK_ROWS
     assert max(canonical_rows_evaluated) <= coefficients._CHUNK_ROWS
 
 

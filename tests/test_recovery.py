@@ -2,6 +2,8 @@ import bisect
 import copy
 import math
 import pickle
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -418,6 +420,24 @@ def test_spline_on_a_table_too_short_to_fit(monkeypatch, values, target):
         recover_spline(table, target)
 
 
+@pytest.mark.parametrize(
+    "target, n",
+    [(0.0, 1.6185897452796862), (1.000001 * 0.02377784348560247, 1.7081959489124905), (0.0292, 1.731698503305056)],
+)
+def test_spline_finds_crossings_where_a_product_of_gaps_underflows(table30, target, n):
+    # targets: a crossing of 0, one just past row 10's value, and 0.0292;
+    # the delta = 0.2 table times 2**-560 is that table scaled exactly, and
+    # a product of two of its gaps underflows to zero
+    scale = math.ldexp(1.0, -560)
+    scaled = build_table(EncoderConfig(Canonical(), math.ldexp(0.2, -560)), 30)
+    assert np.array_equal(scaled.values, table30.values * scale)
+    expected = recover_spline(table30, target)
+    result = recover_spline(scaled, target * scale, tol=1e-9 * scale)
+    assert expected.n == n
+    assert result.n == n
+    assert result.residual == expected.residual * scale
+
+
 def test_spline_stability_threshold():
     # the slope there, 1e-9 per row, is below DEFAULT_STABILITY_EPSILON
     flat = IntegralTable(delta=None, family=None, values=[0.0, 1e-9, 2e-9, 3e-9])
@@ -530,6 +550,12 @@ def test_noise_sweep_validation(table30):
         noise_sweep(table30, 8, 0.005, [0.1], trials=0)
     with pytest.raises(ValueError):
         noise_sweep(table30, 99, 0.005, [0.1])
+    half = sys.float_info.max / 2  # the largest amplitude A whose draws' width 2A is finite
+    assert noise_sweep(table30, 8, 0.005, [half], trials=3) == [(half, 0.0)]
+    for amplitude in (math.nextafter(half, math.inf), 1e308):
+        message = f"^noise amplitude must be at most half the largest float, got {re.escape(repr(amplitude))}$"
+        with pytest.raises(ValueError, match=message):
+            noise_sweep(table30, 8, 0.005, [0.001, amplitude])
 
 
 def replay_sweep(table, true_n, epsilon, amplitudes, trials, seed):
